@@ -16,9 +16,22 @@
 // synchronization, which costs no network time — only the per-iteration
 // barrier between lmap and lreduce within this task.
 //
-// lmap invocations may run on a thread pool (the paper's Section IV notes the
-// local operations "can use a thread-pool to extract further parallelism");
-// per-chunk emitters are merged in chunk order so results stay deterministic.
+// The hashtable is a FlatTable: flat storage iterated in first-insertion
+// order. Run() keeps one intermediate table and one next-state table for the
+// whole loop, so a local iteration clears and copies into warm buffers
+// instead of allocating a node per key.
+//
+// Determinism contract:
+//   - lreduce visits keys in first-emission order. Emission follows xs order,
+//     so that order — and with it the last writer of any key that lreduce
+//     writes via EmitLocal — is a pure function of the inputs.
+//   - lmap invocations may run on a thread pool (the paper's Section IV notes
+//     the local operations "can use a thread-pool to extract further
+//     parallelism"). Per-chunk emitters merge in chunk order, which keeps
+//     first-emission order and every grouped value list identical to a serial
+//     run. With a combiner, each chunk folds its own emissions and the merge
+//     folds the chunk results, so the fold is reassociated: results are
+//     identical run to run, but may differ from serial in the last bits.
 #pragma once
 
 #include <algorithm>
@@ -26,18 +39,19 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
+#include "core/flat_table.hpp"
 #include "mr/context.hpp"
 
 namespace asyncmr::core {
 
 /// The hashtable holding local MapReduce state between local iterations.
 template <typename LK, typename LV>
-using LocalState = std::unordered_map<LK, LV>;
+using LocalState = FlatTable<LK, LV>;
 
 /// Collects EmitLocalIntermediate() output of lmap calls for one iteration.
 /// With a combiner (associative merge), values are folded on emit — this is
@@ -65,22 +79,30 @@ class LocalIntermediate {
   void AddOps(uint64_t n) { ops_ += n; }
 
   bool combining() const { return static_cast<bool>(combine_); }
-  std::unordered_map<LK, std::vector<LV>>& groups() { return groups_; }
-  std::unordered_map<LK, LV>& combined() { return combined_; }
+  FlatTable<LK, std::vector<LV>>& groups() { return groups_; }
+  FlatTable<LK, LV>& combined() { return combined_; }
   uint64_t ops() const { return ops_; }
   uint64_t records() const { return records_; }
 
-  /// Merges another emitter's output (thread-pool chunk merge). Each key is
-  /// folded independently and chunks arrive in chunk order, so the visit
-  /// order within one chunk's table cannot leak into the result.
+  /// Empties the emitter for the next local iteration, keeping its buffers.
+  void Clear() {
+    groups_.clear();
+    combined_.clear();
+    ops_ = 0;
+    records_ = 0;
+  }
+
+  /// Merges another emitter's output (thread-pool chunk merge). Chunks
+  /// arrive in chunk order and each table iterates in first-emission order,
+  /// so the merged key order is the serial run's first-emission order.
   void Merge(LocalIntermediate&& other) {
     if (combine_) {
-      for (auto& [k, v] : other.combined_) {  // lint:order-insensitive
+      for (auto& [k, v] : other.combined_) {
         auto [it, inserted] = combined_.try_emplace(k, v);
         if (!inserted) it->second = combine_(it->second, v);
       }
     } else {
-      for (auto& [k, vs] : other.groups_) {  // lint:order-insensitive
+      for (auto& [k, vs] : other.groups_) {
         auto& dst = groups_[k];
         dst.insert(dst.end(), vs.begin(), vs.end());
       }
@@ -91,8 +113,8 @@ class LocalIntermediate {
 
  private:
   CombineFn combine_;
-  std::unordered_map<LK, std::vector<LV>> groups_;
-  std::unordered_map<LK, LV> combined_;
+  FlatTable<LK, std::vector<LV>> groups_;
+  FlatTable<LK, LV> combined_;
   uint64_t ops_ = 0;
   uint64_t records_ = 0;
 };
@@ -165,33 +187,35 @@ class LocalMapReduce {
   /// updated in place. Returns partial-sync statistics.
   LocalRunStats Run(std::span<const X> xs, LocalState<LK, LV>& state) const {
     LocalRunStats stats;
+    // Reused by every local iteration: cleared or overwritten, never rebuilt.
+    LocalIntermediate<LK, LV> intermediate(config_.lcombine);
+    LocalState<LK, LV> next;
+    std::vector<LV> one(1, LV{});
     while (stats.local_iterations < config_.max_local_iterations) {
       // --- lmap phase -------------------------------------------------------
       if (config_.on_iteration_start) config_.on_iteration_start(state);
-      LocalIntermediate<LK, LV> intermediate = RunLmapPhase(xs, state);
+      RunLmapPhase(xs, state, intermediate);
       stats.ops += intermediate.ops();
       stats.intermediate_records += intermediate.records();
 
       // --- partial synchronization: lreduce phase ----------------------------
-      LocalState<LK, LV> next = state;  // untouched keys keep their value
+      next = state;  // untouched keys keep their value
       LocalReduceContext<LK, LV> ctx(next);
       if (intermediate.combining()) {
-        std::vector<LV> one(1, LV{});
-        ForEachSortedKey(intermediate.combined(), [&](const LK& key, LV& value) {
-          one[0] = value;
+        for (auto& [key, value] : intermediate.combined()) {
+          one[0] = std::move(value);
           lreduce_(key, one, state, ctx);
-        });
+        }
       } else {
-        ForEachSortedKey(intermediate.groups(),
-                         [&](const LK& key, std::vector<LV>& values) {
-                           lreduce_(key, values, state, ctx);
-                         });
+        for (const auto& [key, values] : intermediate.groups()) {
+          lreduce_(key, values, state, ctx);
+        }
       }
       stats.ops += ctx.ops();
       ++stats.local_iterations;
 
       const bool done = converged_(state, next, stats.local_iterations);
-      state = std::move(next);
+      std::swap(state, next);
       if (done) return stats;
     }
     stats.hit_iteration_cap = true;
@@ -199,24 +223,13 @@ class LocalMapReduce {
   }
 
  private:
-  /// Visits the hashtable in sorted key order so the lreduce fold sequence
-  /// (and any foreign-key EmitLocal overwrites) cannot depend on hash layout.
-  template <typename Map, typename Fn>
-  static void ForEachSortedKey(Map& map, Fn&& fn) {
-    std::vector<typename Map::value_type*> entries;
-    entries.reserve(map.size());
-    for (auto& kv : map) entries.push_back(&kv);  // lint:order-insensitive
-    std::sort(entries.begin(), entries.end(),
-              [](const auto* a, const auto* b) { return a->first < b->first; });
-    for (auto* kv : entries) fn(kv->first, kv->second);
-  }
-
-  LocalIntermediate<LK, LV> RunLmapPhase(std::span<const X> xs,
-                                         const LocalState<LK, LV>& state) const {
-    LocalIntermediate<LK, LV> out(config_.lcombine);
+  /// Refills `out` with one lmap sweep over xs.
+  void RunLmapPhase(std::span<const X> xs, const LocalState<LK, LV>& state,
+                    LocalIntermediate<LK, LV>& out) const {
+    out.Clear();
     if (config_.lmap_threads <= 1 || xs.size() < 2 * config_.lmap_threads) {
       for (const X& x : xs) lmap_(x, state, out);
-      return out;
+      return;
     }
     // Thread-pool execution with deterministic chunk-order merge.
     const size_t chunks = config_.lmap_threads;
@@ -235,7 +248,6 @@ class LocalMapReduce {
     }
     for (auto& f : futs) f.get();
     for (auto& p : partials) out.Merge(std::move(p));
-    return out;
   }
 
   LMapFn lmap_;

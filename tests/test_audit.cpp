@@ -9,6 +9,7 @@
 #include "async/progress.hpp"
 #include "async/state_store.hpp"
 #include "common/check.hpp"
+#include "core/flat_table.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "sim/event_queue.hpp"
@@ -153,6 +154,39 @@ TEST(AuditNetworkDeathTest, NodeRateOversubscriptionTrips) {
         net.AuditInvariants();
       },
       "oversubscribed");
+}
+
+#endif  // AMR_AUDIT
+
+// --- flat hashtable index ----------------------------------------------------
+
+TEST(AuditFlatTable, GrowingTableDoesNotTrip) {
+  // Positive twin: growth from empty through several rehashes, then a
+  // reserve-driven one, re-verifies a sound index every time.
+  asyncmr::core::FlatTable<uint32_t, double> table;
+  for (uint32_t k = 0; k < 1000; ++k) table[k * 4096] = k;
+  table.reserve(5000);
+  EXPECT_EQ(table.size(), 1000u);
+  EXPECT_EQ(table.at(999u * 4096), 999.0);
+}
+
+#ifdef AMR_AUDIT
+
+TEST(AuditFlatTableDeathTest, DuplicateKeyTripsOnRehash) {
+  SKIP_WITHOUT_AUDIT();
+  // Entry 1 takes entry 0's key behind the index's back. The next rehash
+  // places both, but a probe for that key stops at entry 0, so entry 1 is
+  // unreachable from its home slot.
+  using Table = asyncmr::core::FlatTable<uint32_t, double>;
+  EXPECT_DEATH(
+      {
+        Table table;
+        table[1] = 1.0;
+        table[2] = 2.0;
+        table.TestOnlyOverwriteKey(1, 1);
+        for (uint32_t k = 3; k < 40; ++k) table[k] = 0.0;  // forces a rehash
+      },
+      "unreachable from its home slot");
 }
 
 #endif  // AMR_AUDIT

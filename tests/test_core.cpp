@@ -1,9 +1,14 @@
 // Unit tests: the paper's API — LocalMapReduce (Fig. 1 construction), partial
-// synchronizations, eager scheduling semantics, PartialSyncJob.
+// synchronizations, eager scheduling semantics, PartialSyncJob — and the
+// FlatTable hashtable underneath it.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <unordered_map>
 
+#include "common/rng.hpp"
+#include "core/flat_table.hpp"
 #include "core/local_runtime.hpp"
 #include "core/metrics.hpp"
 #include "core/partial_sync_job.hpp"
@@ -168,6 +173,219 @@ TEST(LocalMapReduce, OnIterationStartHookRuns) {
   LocalState<uint32_t, double> state;
   local.Run(xs, state);
   EXPECT_EQ(hook_calls, 2);
+}
+
+// --- determinism contract -----------------------------------------------------
+// These pin the ordering contract documented in core/local_runtime.hpp.
+
+// Maps x = 0..60 onto the keys 0..60 in a scrambled order; larger x revisit
+// them.
+uint32_t ScrambledKey(uint32_t x) { return (x * 37) % 61; }
+
+std::vector<uint32_t> Iota(uint32_t n) {
+  std::vector<uint32_t> xs(n);
+  for (uint32_t i = 0; i < n; ++i) xs[i] = i;
+  return xs;
+}
+
+TEST(LocalMapReduce, LreduceSeesKeysInFirstEmissionOrder) {
+  const std::vector<uint32_t> xs{5, 3, 9, 3, 1, 5, 0, 9};
+  auto visited_order = [&](LocalMapReduce<uint32_t, uint32_t, double>::Config config) {
+    std::vector<uint32_t> visited;
+    LocalMapReduce<uint32_t, uint32_t, double> local(
+        [](const uint32_t& x, const LocalState<uint32_t, double>&,
+           LocalIntermediate<uint32_t, double>& out) {
+          out.EmitLocalIntermediate(x, 1.0);
+        },
+        [&visited](const uint32_t& k, const std::vector<double>&,
+                   const LocalState<uint32_t, double>&,
+                   LocalReduceContext<uint32_t, double>& ctx) {
+          visited.push_back(k);
+          ctx.EmitLocal(k, 0.0);
+        },
+        [](const LocalState<uint32_t, double>&, const LocalState<uint32_t, double>&,
+           uint32_t) { return true; },
+        config);
+    LocalState<uint32_t, double> state;
+    local.Run(xs, state);
+    return visited;
+  };
+  const std::vector<uint32_t> expected{5, 3, 9, 1, 0};
+  LocalMapReduce<uint32_t, uint32_t, double>::Config plain;
+  EXPECT_EQ(visited_order(plain), expected);
+  LocalMapReduce<uint32_t, uint32_t, double>::Config combined;
+  combined.lcombine = [](const double& a, const double& b) { return a + b; };
+  EXPECT_EQ(visited_order(combined), expected);
+  LocalMapReduce<uint32_t, uint32_t, double>::Config threaded;
+  threaded.lmap_threads = 4;  // chunks {5,3} {9,3} {1,5} {0,9}
+  EXPECT_EQ(visited_order(threaded), expected);
+}
+
+TEST(LocalMapReduce, ForeignKeyLastWriterIsStable) {
+  // Every lreduce call also overwrites one shared foreign key, so its final
+  // value names the key lreduce visited last.
+  static constexpr uint32_t kForeign = 1000;
+  const std::vector<uint32_t> xs = Iota(200);
+  auto last_writer = [&](uint32_t threads) {
+    LocalMapReduce<uint32_t, uint32_t, double>::Config config;
+    config.lmap_threads = threads;
+    LocalMapReduce<uint32_t, uint32_t, double> local(
+        [](const uint32_t& x, const LocalState<uint32_t, double>&,
+           LocalIntermediate<uint32_t, double>& out) {
+          out.EmitLocalIntermediate(ScrambledKey(x), static_cast<double>(x));
+        },
+        [](const uint32_t& k, const std::vector<double>& vs,
+           const LocalState<uint32_t, double>&, LocalReduceContext<uint32_t, double>& ctx) {
+          ctx.EmitLocal(k, vs.front());
+          ctx.EmitLocal(kForeign, static_cast<double>(k));
+        },
+        [](const LocalState<uint32_t, double>&, const LocalState<uint32_t, double>&,
+           uint32_t) { return true; },
+        config);
+    LocalState<uint32_t, double> state;
+    local.Run(xs, state);
+    return state.at(kForeign);
+  };
+  // x = 0..60 first-emit all 61 keys, so the last key visited is
+  // ScrambledKey(60) = 24 (a sorted visit would have ended at 60).
+  const double serial = last_writer(1);
+  EXPECT_EQ(serial, static_cast<double>(ScrambledKey(60)));
+  EXPECT_EQ(last_writer(1), serial);
+  EXPECT_EQ(last_writer(4), serial);
+  EXPECT_EQ(last_writer(4), serial);
+}
+
+TEST(LocalMapReduce, CombinerWithThreadPoolIsStableAndNearSerial) {
+  // The chunk merge reassociates the combiner fold, so threaded results are
+  // pinned run to run bit for bit, and to serial only within rounding.
+  const std::vector<uint32_t> xs = Iota(500);
+  auto run = [&](uint32_t threads) {
+    LocalMapReduce<uint32_t, uint32_t, double>::Config config;
+    config.lmap_threads = threads;
+    config.max_local_iterations = 4;
+    config.lcombine = [](const double& a, const double& b) { return a + b; };
+    LocalMapReduce<uint32_t, uint32_t, double> local(
+        [](const uint32_t& x, const LocalState<uint32_t, double>& s,
+           LocalIntermediate<uint32_t, double>& out) {
+          const auto it = s.find(ScrambledKey(x));
+          const double prev = it == s.end() ? 1.0 : it->second;
+          out.EmitLocalIntermediate(ScrambledKey(x), 0.1 * prev + 1.0 / (x + 3.0));
+        },
+        [](const uint32_t& k, const std::vector<double>& vs,
+           const LocalState<uint32_t, double>&, LocalReduceContext<uint32_t, double>& ctx) {
+          ctx.EmitLocal(k, vs.front());
+        },
+        [](const LocalState<uint32_t, double>&, const LocalState<uint32_t, double>&,
+           uint32_t) { return false; },
+        config);
+    LocalState<uint32_t, double> state;
+    local.Run(xs, state);
+    return state;
+  };
+  const LocalState<uint32_t, double> serial = run(1);
+  const LocalState<uint32_t, double> threaded = run(4);
+  const LocalState<uint32_t, double> threaded_again = run(4);
+  ASSERT_EQ(serial.size(), 61u);
+  ASSERT_EQ(threaded.size(), serial.size());
+  ASSERT_EQ(threaded_again.size(), serial.size());
+  auto s = serial.begin();
+  auto t = threaded.begin();
+  auto u = threaded_again.begin();
+  for (; s != serial.end(); ++s, ++t, ++u) {
+    ASSERT_EQ(t->first, s->first);
+    ASSERT_EQ(u->first, s->first);
+    EXPECT_EQ(u->second, t->second) << "key " << s->first;
+    EXPECT_NEAR(t->second, s->second, 1e-12) << "key " << s->first;
+  }
+}
+
+// --- FlatTable ----------------------------------------------------------------
+
+// Random operations against std::unordered_map through many rehash growths:
+// contents must agree, and iteration must follow first insertion.
+TEST(FlatTable, MatchesUnorderedMapInFirstInsertionOrder) {
+  Rng rng(2010);
+  FlatTable<uint32_t, uint64_t> table;
+  std::unordered_map<uint32_t, uint64_t> ref;
+  std::vector<uint32_t> order;
+  auto expect_same = [&](const FlatTable<uint32_t, uint64_t>& t) {
+    ASSERT_EQ(t.size(), ref.size());
+    ASSERT_EQ(t.empty(), ref.empty());
+    size_t i = 0;
+    for (const auto& [k, v] : t) {
+      ASSERT_LT(i, order.size());
+      EXPECT_EQ(k, order[i++]);
+      EXPECT_EQ(v, ref.at(k));
+    }
+  };
+
+  for (uint64_t round = 0; round < 4; ++round) {
+    for (uint64_t op = 0; op < 20000; ++op) {
+      // Multiples of 1024 share low bits, so weak mixing would pile them up.
+      const uint32_t key = static_cast<uint32_t>(rng.NextBounded(4000)) * 1024;
+      switch (rng.NextBounded(5)) {
+        case 0: {
+          const auto [it, inserted] = table.try_emplace(key, op);
+          EXPECT_EQ(inserted, ref.try_emplace(key, op).second);
+          EXPECT_EQ(it->first, key);
+          EXPECT_EQ(it->second, ref.at(key));
+          if (inserted) order.push_back(key);
+          break;
+        }
+        case 1:
+          if (ref.count(key) == 0) order.push_back(key);
+          table[key] += op;
+          ref[key] += op;
+          break;
+        case 2: {
+          const auto it = table.find(key);
+          const auto rit = ref.find(key);
+          ASSERT_EQ(it == table.end(), rit == ref.end());
+          if (it != table.end()) {
+            EXPECT_EQ(it->second, rit->second);
+          }
+          break;
+        }
+        case 3:
+          EXPECT_EQ(table.count(key), ref.count(key));
+          break;
+        default:
+          if (ref.count(key) != 0) {
+            EXPECT_EQ(table.at(key), ref.at(key));
+          }
+          break;
+      }
+    }
+    expect_same(table);
+
+    // Copy-assignment over a table with other contents and a smaller index.
+    FlatTable<uint32_t, uint64_t> copy{{7, 1}, {9, 2}};
+    copy = table;
+    expect_same(copy);
+
+    if (round == 0) table.reserve(table.size() * 8);  // grow without inserting
+    if (round == 2) {
+      // clear() keeps capacity; the table must work as new afterwards.
+      table.clear();
+      ref.clear();
+      order.clear();
+      expect_same(table);
+      EXPECT_EQ(table.find(0), table.end());
+    }
+    expect_same(table);
+  }
+}
+
+TEST(FlatTable, HoldsNonTrivialEntries) {
+  FlatTable<std::string, std::vector<int>> table{{"b", {1}}, {"a", {2, 3}}};
+  table["c"].push_back(4);
+  table["a"].push_back(5);
+  EXPECT_FALSE(table.emplace("b", std::vector<int>{9}).second);
+  std::vector<std::string> keys;
+  for (const auto& [k, v] : table) keys.push_back(k);
+  EXPECT_EQ(keys, (std::vector<std::string>{"b", "a", "c"}));
+  EXPECT_EQ(table.at("a"), (std::vector<int>{2, 3, 5}));
+  EXPECT_EQ(table.at("b"), (std::vector<int>{1}));
 }
 
 // --- PartialSyncJob -----------------------------------------------------------
