@@ -33,7 +33,10 @@ namespace asyncmr::bench {
 ///   v3 — micro_des gains the calendar-queue and sharded-mode columns
 ///   v4 — ablation_faults gains the node-crash column (node_* fields);
 ///        ablation_chaos lines introduced
-inline constexpr int kBenchSchemaVersion = 4;
+///   v5 — micro_des drops the legacy-queue and sharded-mode columns;
+///        scale_async drops its DES-mode field (the sharded DES mode was
+///        deleted)
+inline constexpr int kBenchSchemaVersion = 5;
 
 /// Owns the optional observability sinks for a bench binary, resolved from
 /// BenchOptions (--trace-out / --metrics-out / AMR_TRACE_OUT / ...). When

@@ -2,10 +2,8 @@
 //
 // Measures:
 //   1. EventQueue events/sec on two synthetic workloads (timer churn and a
-//      cancel-heavy pattern mirroring network-flow rebalancing), for both the
-//      current slab-based queue and an embedded copy of the pre-slab
-//      implementation (std::function callbacks + hash-map bookkeeping), so
-//      the speedup is measured, not asserted.
+//      cancel-heavy pattern mirroring network-flow rebalancing), through both
+//      far-future stores (heap and calendar).
 //   2. End-to-end wall-clock of the two iterative workloads that dominate
 //      experiment time: async PageRank (the ablation_async headline variant)
 //      and general/eager PageRank waves (the fig4 flavor), on the power-law
@@ -16,18 +14,14 @@
 // trajectory. Schema (all numbers):
 //
 //   {"bench":"micro_des","schema_version":V,"scale":S,"seed":N,
-//    "churn_events_per_sec":E,"churn_legacy_events_per_sec":E,
-//    "cancel_events_per_sec":E,"cancel_legacy_events_per_sec":E,
-//    "queue_speedup":X,
+//    "churn_events_per_sec":E,"cancel_events_per_sec":E,
 //    "churn_calendar_events_per_sec":E,"cancel_calendar_events_per_sec":E,
 //    "calendar_speedup":X,
 //    "onebucket_heap_events_per_sec":E,"onebucket_calendar_events_per_sec":E,
 //    "net_churn_events_per_sec":E,"net_churn_reference_events_per_sec":E,
 //    "net_rebalance_speedup":X,
 //    "async_pagerank_wall_s":T,"wave_pagerank_wall_s":T,
-//    "async_virtual_s":T,"async_total_iterations":N,
-//    "async_pagerank_sharded_wall_s":T,"sharded_speedup":X,
-//    "shard_threads":N,"host_cores":N}
+//    "async_virtual_s":T,"async_total_iterations":N}
 //
 // The net_churn_* fields measure the fluid network itself: start/complete N
 // overlapping flows on a 64-node topology and count flow events (starts +
@@ -38,21 +32,12 @@
 // (same workload, byte-identical firing order); the onebucket_* pair is the
 // pathological distribution — every pending event at ONE timestamp — where
 // the calendar's sorted-bucket insert degrades and the heap does not.
-// sharded_speedup is serial wall / DesMode::kSharded wall on the async
-// anchor; on a single-core host it is honestly <= 1.
 //
-// Honours AMR_SCALE / AMR_SEED like the figure benches, plus
-// AMR_SHARD_THREADS (0 = size to the hardware).
+// Honours AMR_SCALE / AMR_SEED like the figure benches.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <memory>
-#include <queue>
-#include <thread>
-#include <type_traits>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "apps/pagerank.hpp"
 #include "bench_common.hpp"
@@ -71,91 +56,6 @@ double WallSeconds(const std::function<void()>& fn) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-// The pre-slab EventQueue, verbatim: one std::function heap allocation per
-// event plus hash-map insert/erase and a cancelled-set probe. Kept here as
-// the measured baseline for queue_speedup.
-class LegacyEventQueue {
- public:
-  using EventId = uint64_t;
-
-  sim::SimTime now() const { return now_; }
-
-  EventId Schedule(sim::SimTime at, std::function<void()> fn) {
-    const EventId id = next_id_++;
-    heap_.push(Event{at, id});
-    callbacks_.emplace(id, std::move(fn));
-    return id;
-  }
-
-  EventId ScheduleAfter(sim::SimTime delay, std::function<void()> fn) {
-    return Schedule(now_ + delay, std::move(fn));
-  }
-
-  bool Cancel(EventId id) {
-    auto it = callbacks_.find(id);
-    if (it == callbacks_.end()) return false;
-    callbacks_.erase(it);
-    cancelled_.insert(id);
-    return true;
-  }
-
-  bool RunOne() {
-    while (!heap_.empty()) {
-      const Event ev = heap_.top();
-      heap_.pop();
-      auto cancelled_it = cancelled_.find(ev.id);
-      if (cancelled_it != cancelled_.end()) {
-        cancelled_.erase(cancelled_it);
-        continue;
-      }
-      auto cb_it = callbacks_.find(ev.id);
-      std::function<void()> fn = std::move(cb_it->second);
-      callbacks_.erase(cb_it);
-      now_ = ev.time;
-      ++fired_;
-      fn();
-      return true;
-    }
-    return false;
-  }
-
-  void RunUntilEmpty() {
-    while (RunOne()) {
-    }
-  }
-
-  uint64_t fired_count() const { return fired_; }
-
- private:
-  struct Event {
-    sim::SimTime time;
-    EventId id;
-    bool operator>(const Event& other) const {
-      if (time != other.time) return time > other.time;
-      return id > other.id;
-    }
-  };
-
-  sim::SimTime now_ = 0.0;
-  EventId next_id_ = 1;
-  uint64_t fired_ = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
-  std::unordered_map<EventId, std::function<void()>> callbacks_;
-  std::unordered_set<EventId> cancelled_;
-};
-
-/// Constructs the benched queue, forwarding the far-store mode to the slab
-/// queue; the legacy baseline has no modes and ignores it.
-template <typename Queue>
-Queue MakeQueue(sim::QueueMode mode) {
-  if constexpr (std::is_constructible_v<Queue, sim::QueueMode>) {
-    return Queue(mode);
-  } else {
-    (void)mode;
-    return Queue{};
-  }
-}
-
 /// Shared per-run state the event callables point into.
 struct ChainState {
   uint64_t remaining = 0;
@@ -165,10 +65,8 @@ struct ChainState {
 
 /// Event callables carry a trivially-copyable payload sized like a typical
 /// simulator capture list ([this, hop_src, hop_dst, state, ...]): 40-48
-/// bytes with the queue pointer. That exceeds libstdc++'s 16-byte
-/// std::function small-object buffer, so the legacy queue heap-allocates
-/// per event, while the slab queue stores every callable here inline
-/// (all are <= EventFn::kInlineBytes = 48; static_asserts below).
+/// bytes with the queue pointer, which the slab queue stores inline (all are
+/// <= EventFn::kInlineBytes = 48; static_asserts below).
 struct EventPayload {
   ChainState* state = nullptr;
   uint32_t lane = 0;
@@ -184,9 +82,8 @@ struct NoopEvent {
 /// each iteration is a zero-delay grant hop (SimCluster::AcquireSlot grants
 /// free slots via ScheduleAfter(0.0)) followed by a timed compute event.
 /// Returns events fired per wall-second.
-template <typename Queue>
 struct ChurnEvent {
-  Queue* q = nullptr;
+  sim::EventQueue* q = nullptr;
   EventPayload p;
   bool grant_hop = false;
   void operator()() const {
@@ -200,18 +97,17 @@ struct ChurnEvent {
   }
 };
 
-template <typename Queue>
 double ChurnEventsPerSec(uint64_t total_events, uint32_t width,
-                         sim::QueueMode mode = sim::QueueMode::kHeap) {
-  static_assert(sizeof(ChurnEvent<Queue>) <= sim::EventFn::kInlineBytes,
+                         sim::QueueMode mode) {
+  static_assert(sizeof(ChurnEvent) <= sim::EventFn::kInlineBytes,
                 "churn callable must exercise the inline-storage path");
-  Queue q = MakeQueue<Queue>(mode);
+  sim::EventQueue q(mode);
   ChainState state;
   state.remaining = total_events;
   const double wall = WallSeconds([&] {
     for (uint32_t lane = 0; lane < width; ++lane) {
       q.ScheduleAfter(0.001 * lane,
-                      ChurnEvent<Queue>{&q, EventPayload{&state, lane, {}}});
+                      ChurnEvent{&q, EventPayload{&state, lane, {}}});
     }
     q.RunUntilEmpty();
   });
@@ -226,9 +122,8 @@ double ChurnEventsPerSec(uint64_t total_events, uint32_t width,
 /// wall-second.
 inline constexpr uint32_t kFlowsPerLane = 8;
 
-template <typename Queue>
 struct CancelEvent {
-  Queue* q = nullptr;
+  sim::EventQueue* q = nullptr;
   EventPayload p;
   void operator()() const {
     ChainState& s = *p.state;
@@ -246,20 +141,19 @@ struct CancelEvent {
   }
 };
 
-template <typename Queue>
 double CancelEventsPerSec(uint64_t total_events, uint32_t width,
-                          sim::QueueMode mode = sim::QueueMode::kHeap) {
-  static_assert(sizeof(CancelEvent<Queue>) <= sim::EventFn::kInlineBytes &&
+                          sim::QueueMode mode) {
+  static_assert(sizeof(CancelEvent) <= sim::EventFn::kInlineBytes &&
                     sizeof(NoopEvent) <= sim::EventFn::kInlineBytes,
                 "cancel callables must exercise the inline-storage path");
-  Queue q = MakeQueue<Queue>(mode);
+  sim::EventQueue q(mode);
   ChainState state;
   state.remaining = total_events / kFlowsPerLane;
   state.armed.assign(static_cast<size_t>(width) * kFlowsPerLane, 0);
   const double wall = WallSeconds([&] {
     for (uint32_t lane = 0; lane < width; ++lane) {
       q.ScheduleAfter(0.001 * lane,
-                      CancelEvent<Queue>{&q, EventPayload{&state, lane, {}}});
+                      CancelEvent{&q, EventPayload{&state, lane, {}}});
     }
     q.RunUntilEmpty();
   });
@@ -341,29 +235,23 @@ int main(int argc, char** argv) {
   // --- queue microbenchmarks -------------------------------------------------
   const uint64_t n_events = static_cast<uint64_t>(opts.Scaled(4'000'000, 400'000));
   // Concurrent event population: matches the default ablation scenario
-  // (16 workers with a few in-flight transfers each), so the heap depth —
-  // a cost both queues share — is realistic rather than inflated.
+  // (16 workers with a few in-flight transfers each), so the queue depth is
+  // realistic rather than inflated.
   const uint32_t width = static_cast<uint32_t>(GetEnvInt("AMR_DES_WIDTH", 64));
 
-  const double churn = ChurnEventsPerSec<sim::EventQueue>(n_events, width);
-  const double churn_legacy = ChurnEventsPerSec<LegacyEventQueue>(n_events, width);
-  const double cancel = CancelEventsPerSec<sim::EventQueue>(n_events, width);
-  const double cancel_legacy =
-      CancelEventsPerSec<LegacyEventQueue>(n_events, width);
-  const double speedup =
-      0.5 * (churn / churn_legacy) + 0.5 * (cancel / cancel_legacy);
-
-  std::fprintf(stderr, "churn:  %12.0f ev/s   (legacy %12.0f ev/s, %.2fx)\n",
-               churn, churn_legacy, churn / churn_legacy);
-  std::fprintf(stderr, "cancel: %12.0f op/s   (legacy %12.0f op/s, %.2fx)\n",
-               cancel, cancel_legacy, cancel / cancel_legacy);
+  const double churn =
+      ChurnEventsPerSec(n_events, width, sim::QueueMode::kHeap);
+  const double cancel =
+      CancelEventsPerSec(n_events, width, sim::QueueMode::kHeap);
+  std::fprintf(stderr, "churn:  %12.0f ev/s\n", churn);
+  std::fprintf(stderr, "cancel: %12.0f op/s\n", cancel);
 
   // Same workloads through the calendar far store (byte-identical firing
   // order; only the container changes), plus the one-bucket worst case.
-  const double churn_cal = ChurnEventsPerSec<sim::EventQueue>(
-      n_events, width, sim::QueueMode::kCalendar);
-  const double cancel_cal = CancelEventsPerSec<sim::EventQueue>(
-      n_events, width, sim::QueueMode::kCalendar);
+  const double churn_cal =
+      ChurnEventsPerSec(n_events, width, sim::QueueMode::kCalendar);
+  const double cancel_cal =
+      CancelEventsPerSec(n_events, width, sim::QueueMode::kCalendar);
   const double cal_speedup =
       0.5 * (churn_cal / churn) + 0.5 * (cancel_cal / cancel);
   std::fprintf(stderr,
@@ -433,44 +321,10 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(async_stats.total_iterations),
                wave_wall);
 
-  // Sharded-DES anchor: the same async run with compute callbacks offloaded
-  // to the pool. Must be bit-identical to the serial run — verified here on
-  // the headline stats so a silent divergence poisons no trajectory.
-  const uint32_t host_cores = std::thread::hardware_concurrency();
-  const auto shard_threads =
-      static_cast<uint32_t>(GetEnvInt("AMR_SHARD_THREADS", 0));
-  async::AsyncResult sharded_stats;
-  double sharded_wall = 0.0;
-  {
-    apps::PageRankConfig pr_sharded = pr;
-    pr_sharded.async_tuning.des_mode = async::DesMode::kSharded;
-    pr_sharded.async_tuning.shard_threads = shard_threads;
-    cluster::SimCluster sim(cluster::ClusterSpec::Ec2Large8());
-    sharded_wall = WallSeconds([&] {
-      apps::AsyncPageRank(sim, g, part, pr_sharded, async::kUnboundedStaleness,
-                          &sharded_stats);
-    });
-  }
-  if (sharded_stats.total_iterations != async_stats.total_iterations ||
-      sharded_stats.end_seconds != async_stats.end_seconds) {
-    std::fprintf(stderr,
-                 "WARNING: sharded run diverged from serial "
-                 "(iterations %llu vs %llu, end %.17g vs %.17g)\n",
-                 static_cast<unsigned long long>(sharded_stats.total_iterations),
-                 static_cast<unsigned long long>(async_stats.total_iterations),
-                 sharded_stats.end_seconds, async_stats.end_seconds);
-  }
-  std::fprintf(stderr,
-               "sharded async PageRank: %.3fs wall (%.2fx serial) on %u host "
-               "cores\n",
-               sharded_wall, async_wall / sharded_wall, host_cores);
-
   // --- the JSON trajectory line ----------------------------------------------
   std::printf(
       "{\"bench\":\"micro_des\",\"schema_version\":%d,\"scale\":%g,\"seed\":%llu,"
-      "\"churn_events_per_sec\":%.0f,\"churn_legacy_events_per_sec\":%.0f,"
-      "\"cancel_events_per_sec\":%.0f,\"cancel_legacy_events_per_sec\":%.0f,"
-      "\"queue_speedup\":%.3f,"
+      "\"churn_events_per_sec\":%.0f,\"cancel_events_per_sec\":%.0f,"
       "\"churn_calendar_events_per_sec\":%.0f,"
       "\"cancel_calendar_events_per_sec\":%.0f,"
       "\"calendar_speedup\":%.3f,"
@@ -480,19 +334,13 @@ int main(int argc, char** argv) {
       "\"net_churn_reference_events_per_sec\":%.0f,"
       "\"net_rebalance_speedup\":%.3f,"
       "\"async_pagerank_wall_s\":%.4f,\"wave_pagerank_wall_s\":%.4f,"
-      "\"async_virtual_s\":%.4f,\"async_total_iterations\":%llu,"
-      "\"async_pagerank_sharded_wall_s\":%.4f,\"sharded_speedup\":%.3f,"
-      "\"shard_threads\":%u,\"host_cores\":%u}\n",
+      "\"async_virtual_s\":%.4f,\"async_total_iterations\":%llu}\n",
       bench::kBenchSchemaVersion, opts.scale,
-      static_cast<unsigned long long>(opts.seed), churn,
-      churn_legacy, cancel, cancel_legacy, speedup, churn_cal, cancel_cal,
-      cal_speedup, onebucket_heap, onebucket_cal, net_churn, net_churn_ref,
-      net_churn / net_churn_ref, async_wall, wave_wall, async_stats.seconds(),
-      static_cast<unsigned long long>(async_stats.total_iterations),
-      sharded_wall, async_wall / sharded_wall,
-      shard_threads != 0 ? shard_threads
-                         : std::max(2u, std::thread::hardware_concurrency()),
-      host_cores);
+      static_cast<unsigned long long>(opts.seed), churn, cancel, churn_cal,
+      cancel_cal, cal_speedup, onebucket_heap, onebucket_cal, net_churn,
+      net_churn_ref, net_churn / net_churn_ref, async_wall, wave_wall,
+      async_stats.seconds(),
+      static_cast<unsigned long long>(async_stats.total_iterations));
   obs_session.FlushOrWarn();
   return 0;
 }

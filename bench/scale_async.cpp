@@ -18,21 +18,21 @@
 // runs). Iteration caps keep cells bounded; converged flags are reported, not
 // assumed.
 //
-// P >= 4096 is the speed tier: those cells run with QueueMode::kCalendar and
-// DesMode::kSharded (both differentially pinned bit-identical to the exact
-// defaults by tests/test_sharded.cpp), and only the coalesced PageRank
-// variant runs — the SSSP and K-Means cells, and PageRank's uncoalesced
-// variant, are SKIPPED and logged explicitly, not silently: at ~12 vertices
-// per partition the apps' fixed per-iteration engine traffic dwarfs any
-// convergence signal, and the off-vs-on crossover is already established on
-// the 64-1024 rows at ~9x the cell cost. Every cell's JSON records which
-// modes produced it (queue_mode, des_mode).
+// P >= 4096 is the speed tier: those cells run with QueueMode::kCalendar
+// (pinned bit-identical to the heap by the CalendarQueue cases in
+// tests/test_sim.cpp and end to end in tests/test_async.cpp), and only the
+// coalesced PageRank variant runs — the SSSP and K-Means cells, and
+// PageRank's uncoalesced variant, are SKIPPED and logged explicitly, not
+// silently: at ~12 vertices per partition the apps' fixed per-iteration
+// engine traffic dwarfs any convergence signal, and the off-vs-on crossover
+// is already established on the 64-1024 rows at ~9x the cell cost. Every
+// cell's JSON records which far store produced it (queue_mode).
 //
 // Output: human-readable rows to stderr, one JSON line per (app, P) cell to
 // stdout — append them to BENCH_scale_async.json. Schema (numbers):
 //
 //   {"bench":"scale_async","schema_version":V,"app":A,"P":N,"nodes":N,
-//    "scale":S,"seed":N,"queue_mode":M,"des_mode":M,
+//    "scale":S,"seed":N,"queue_mode":M,
 //    "rate_tolerance":T,"off_skipped":B,
 //    "off_wall_s":T,"off_virtual_s":T,"off_iters":N,"off_flows":N,
 //    "off_net_bytes":N,"off_converged":B,
@@ -91,25 +91,24 @@ struct Cell {
 /// (stragglers, jitter) and keeps rebalance work amortized O(1) per event.
 constexpr double kRateTolerance = 0.05;
 
-/// From this P up, cells run the speed tier: calendar far store + sharded
-/// compute offload. Both are pinned bit-identical to the exact defaults by
-/// tests/test_sharded.cpp, so the trajectory stays comparable across modes.
-constexpr uint32_t kPerfModeP = 4096;
+/// From this P up, cells run the speed tier: the calendar far store, pinned
+/// bit-identical to the heap, so the trajectory stays comparable across
+/// modes.
+constexpr uint32_t kSpeedTierP = 4096;
 
-bool UsesPerfModes(uint32_t p) { return p >= kPerfModeP; }
+bool InSpeedTier(uint32_t p) { return p >= kSpeedTierP; }
 
 cluster::ClusterSpec CloudSpecFor(uint32_t p) {
   auto spec = cluster::ClusterSpec::Cloud(std::max<uint32_t>(8, p / 8));
   spec.topology.fluid_rate_tolerance = kRateTolerance;
-  if (UsesPerfModes(p)) spec.queue_mode = sim::QueueMode::kCalendar;
+  if (InSpeedTier(p)) spec.queue_mode = sim::QueueMode::kCalendar;
   return spec;
 }
 
-async::EngineTuning Tuning(bool coalesce, uint32_t p) {
+async::EngineTuning Tuning(bool coalesce) {
   async::EngineTuning t;
   t.coalesce_batches = coalesce;
   t.adaptive_token_backoff = true;
-  if (UsesPerfModes(p)) t.des_mode = async::DesMode::kSharded;
   return t;
 }
 
@@ -149,7 +148,7 @@ void EmitJson(const char* app, uint32_t p, const BenchOptions& opts,
       "{\"bench\":\"scale_async\",\"schema_version\":%d,\"app\":\"%s\","
       "\"P\":%u,\"nodes\":%u,"
       "\"scale\":%g,\"seed\":%llu,"
-      "\"queue_mode\":\"%s\",\"des_mode\":\"%s\","
+      "\"queue_mode\":\"%s\","
       "\"rate_tolerance\":%g,\"off_skipped\":%d,"
       "\"off_wall_s\":%.3f,\"off_virtual_s\":%.3f,\"off_iters\":%llu,"
       "\"off_flows\":%llu,\"off_net_bytes\":%llu,\"off_converged\":%d,"
@@ -161,8 +160,7 @@ void EmitJson(const char* app, uint32_t p, const BenchOptions& opts,
       "\"net_busy_s\":%.3f,\"token_circuits\":%u}\n",
       bench::kBenchSchemaVersion, app, p, CloudSpecFor(p).num_nodes(), opts.scale,
       static_cast<unsigned long long>(opts.seed),
-      UsesPerfModes(p) ? "calendar" : "heap",
-      UsesPerfModes(p) ? "sharded" : "serial", kRateTolerance,
+      InSpeedTier(p) ? "calendar" : "heap", kRateTolerance,
       c.off_skipped ? 1 : 0, c.off.wall_s,
       c.off.stats.seconds(),
       static_cast<unsigned long long>(c.off.stats.total_iterations),
@@ -198,7 +196,7 @@ Cell RunCell(uint32_t p, RunFn&& run, bool skip_off = false,
     if (!coalesce && skip_off) continue;
     CellRun& r = coalesce ? cell.on : cell.off;
     cluster::SimCluster sim(CloudSpecFor(p));
-    auto tuning = Tuning(coalesce, p);
+    auto tuning = Tuning(coalesce);
     if (coalesce) tuning.obs = obs;
     r.wall_s = WallSeconds([&] { r.converged = run(sim, tuning, &r.stats); });
     r.net = sim.network().stats();
@@ -227,8 +225,8 @@ int main(int argc, char** argv) {
   for (uint32_t p : sweep) std::fprintf(stderr, " %u", p);
   std::fprintf(stderr,
                " (AMR_MIN_P=%u, AMR_MAX_P=%u), both coalescing variants; "
-               "P >= %u runs calendar + sharded\n\n",
-               min_p, max_p, kPerfModeP);
+               "P >= %u runs the calendar queue\n\n",
+               min_p, max_p, kSpeedTierP);
 
   // One shared power-law graph, sized so the largest P still gets non-trivial
   // partitions (~48 vertices each at P = 1024, scale 1) — the regime where
@@ -269,13 +267,13 @@ int main(int argc, char** argv) {
       // convergence, end these cells), so the speed tier trims the budget to
       // keep the P = 4096 row bounded — it measures engine throughput, and
       // ~160k worker iterations are plenty of signal.
-      pr.max_global_iterations = UsesPerfModes(p) ? 10 : 40;
+      pr.max_global_iterations = InSpeedTier(p) ? 10 : 40;
       const bool traced_cell = p == sweep.back();
       // At the speed tier the off variant is skipped like K-Means at 1024:
       // the off-vs-on crossover is established on the 64-1024 rows, and the
       // uncoalesced variant costs ~9x the cell (P=1024: 290s vs 33s) to
       // re-measure it. Logged, not silent.
-      const bool skip_off = UsesPerfModes(p);
+      const bool skip_off = InSpeedTier(p);
       const Cell cell = RunCell(
           p,
           [&](cluster::SimCluster& sim, const async::EngineTuning& tuning,
@@ -293,7 +291,7 @@ int main(int argc, char** argv) {
       EmitJson("pagerank", p, opts, cell);
     }
 
-    if (UsesPerfModes(p)) {
+    if (InSpeedTier(p)) {
       // The speed tier measures the engine at scale through the PageRank
       // cell; say exactly which cells did NOT run rather than leaving holes
       // in the trajectory.

@@ -179,7 +179,7 @@ ComponentsResult AsyncComponents(cluster::SimCluster& cluster,
   engine_config.convergence_threshold = 0.5;
   engine_config.max_iterations_per_worker = config.max_global_iterations;
   engine_config.checkpoint_interval = config.async_checkpoint_interval;
-  engine_config.ApplyTuning(config.async_tuning);
+  engine_config.tuning = config.async_tuning;
   engine_config.name = config.job_prefix + "-async";
   async::AsyncEngine engine(cluster, num_parts, engine_config);
 

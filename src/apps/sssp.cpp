@@ -423,7 +423,7 @@ SsspResult AsyncSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
   engine_config.max_iterations_per_worker = config.max_global_iterations;
   engine_config.compute_time_scale = config.gmap_time_scale;
   engine_config.checkpoint_interval = config.async_checkpoint_interval;
-  engine_config.ApplyTuning(config.async_tuning);
+  engine_config.tuning = config.async_tuning;
   engine_config.name = config.job_prefix + "-async";
   async::AsyncEngine engine(cluster, num_parts, engine_config);
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <thread>
 
 #include "common/logging.hpp"
 
@@ -31,8 +30,8 @@ AsyncEngine::~AsyncEngine() {
     cluster_.network().set_trace(nullptr);
     cluster_.set_trace(nullptr);
   }
-  if (config_.obs.metrics != nullptr) {
-    for (size_t id : metric_probe_ids_) config_.obs.metrics->RemoveProbe(id);
+  if (obs::MetricsRegistry* metrics = config_.tuning.obs.metrics) {
+    for (size_t id : metric_probe_ids_) metrics->RemoveProbe(id);
   }
   // The token handlers capture `this`; they must not outlive the engine in
   // the longer-lived cluster.
@@ -86,7 +85,7 @@ void AsyncEngine::BuildTopology() {
     for (uint32_t p = 0; p < num_partitions_; ++p) {
       clocks_.emplace_back(send_peers_[p]);
     }
-    if (config_.suspicion_timeout_s > 0.0) {
+    if (config_.tuning.suspicion_timeout_s > 0.0) {
       suspected_.assign(num_partitions_, {});
       suspected_count_.assign(num_partitions_, 0);
       for (uint32_t p = 0; p < num_partitions_; ++p) {
@@ -102,7 +101,7 @@ void AsyncEngine::BuildTopology() {
 
   for (uint32_t p = 0; p < num_partitions_; ++p) {
     workers_[p].out.assign(send_peers_[p].size(), UpdateBatch{});
-    if (config_.coalesce_batches) {
+    if (config_.tuning.coalesce_batches) {
       workers_[p].links.assign(send_peers_[p].size(), Worker::PeerLink{});
     }
   }
@@ -198,13 +197,9 @@ void AsyncEngine::BeginCompute(uint32_t p, uint32_t epoch,
   ctx.slots_ = &w.out;
   if (keepalive_only) {
     ctx.residual_ = w.ledger.last_residual;
-  } else if (config_.des_mode == DesMode::kSerial) {
+  } else {
     compute_(p, ctx);
   }
-  // (kSharded runs compute_ on the pool below; the draws and the load read
-  // stay here, at the same RNG stream position as the serial engine — a
-  // compute callback never touches the cluster RNG, and the determinism
-  // lint's ambient-randomness rule keeps it that way.)
 
   const cluster::ClusterSpec& spec = cluster_.spec();
   Rng& rng = cluster_.rng();
@@ -219,49 +214,17 @@ void AsyncEngine::BeginCompute(uint32_t p, uint32_t epoch,
   const double load =
       cluster_.NodeLoadFactor(w.node) * cluster_.NodeGrayFactor(w.node);
 
-  if (config_.des_mode == DesMode::kSharded && !keepalive_only) {
-    // Offload: park the completion event NOW — a serial BeginCompute issues
-    // exactly one ScheduleAfter here, so the parked event claims the same
-    // seq and the eventual completion keeps the serial FIFO tie-break —
-    // then hand the compute body to the pool. The finish lower bound uses
-    // the merge-ops-only product, which is <= the real compute time in
-    // exact float arithmetic (same expression, ops >= merge_ops).
-    Worker::InFlight& f = w.inflight;
-    f.active = true;
-    f.ctx = std::move(ctx);
-    f.merge_ops = merge_ops;
-    f.begin_time = cluster_.now();
-    f.slowdown = slowdown;
-    f.load = load;
-    f.lb_time = f.begin_time + static_cast<double>(merge_ops) *
-                                   spec.per_op_seconds *
-                                   config_.compute_time_scale * slowdown *
-                                   load / spec.nodes[w.node].speed_factor;
-    f.parked = cluster_.queue().Park([this, p, epoch] {
-      const Worker::InFlight& fin = workers_[p].inflight;
-      // A dead-epoch completion passes stale finals; FinishCompute's epoch
-      // guard drops it before reading them, exactly like the serial path.
-      FinishCompute(p, epoch, fin.final_ops, fin.merge_ops, fin.final_residual);
-    });
-    f.parked_seq = sim::EventQueue::SeqOfEvent(f.parked);
-    f.deferred.clear();
-    f.done = shard_pool_->Submit([this, p] {
-      compute_(p, workers_[p].inflight.ctx);
-    });
-    return;
-  }
-
   const uint64_t ops = ctx.ops_ + merge_ops;
   const double compute_s = static_cast<double>(ops) * spec.per_op_seconds *
                            config_.compute_time_scale * slowdown * load /
                            spec.nodes[w.node].speed_factor;
 
-  if (config_.obs.trace != nullptr && load > 1.0) {
+  if (config_.tuning.obs.trace != nullptr && load > 1.0) {
     // A background-load episode is stretching this iteration: future-date the
     // span over the whole slowed compute so the straggling shows in traces.
-    config_.obs.trace->Span("straggling", "fault", obs::kPidWorkers, p,
-                            cluster_.now(), cluster_.now() + compute_s,
-                            {"load", load});
+    config_.tuning.obs.trace->Span("straggling", "fault", obs::kPidWorkers, p,
+                                   cluster_.now(), cluster_.now() + compute_s,
+                                   {"load", load});
   }
 
   const double residual = ctx.residual_;
@@ -269,85 +232,6 @@ void AsyncEngine::BeginCompute(uint32_t p, uint32_t epoch,
       compute_s, [this, p, epoch, ops, merge_ops, residual] {
         FinishCompute(p, epoch, ops, merge_ops, residual);
       });
-}
-
-void AsyncEngine::JoinInFlight(uint32_t p) {
-  Worker& w = workers_[p];
-  Worker::InFlight& f = w.inflight;
-  AMR_CHECK(f.active);
-  f.done.wait();
-  f.active = false;
-  // Replay deferred app callbacks in arrival order: in serial semantics the
-  // compute already ran, atomically, at begin — these mutations come after
-  // it and before anything that can observe the partition's state next (the
-  // next compute, a checkpoint, a restore all happen post-join).
-  for (Worker::DeferredCallback& d : f.deferred) {
-    if (d.kind == Worker::DeferredCallback::Kind::kApply) {
-      apply_(p, d.from, d.from_clock, d.from_epoch, d.batch);
-    } else {
-      on_peer_restart_(p, d.from);
-    }
-  }
-  f.deferred.clear();
-  const cluster::ClusterSpec& spec = cluster_.spec();
-  const uint64_t ops = f.ctx.ops_ + f.merge_ops;
-  // The serial engine's exact expression, with the draws made at begin —
-  // same values, same order, bit-identical virtual duration.
-  const double compute_s = static_cast<double>(ops) * spec.per_op_seconds *
-                           config_.compute_time_scale * f.slowdown * f.load /
-                           spec.nodes[w.node].speed_factor;
-  if (config_.obs.trace != nullptr && f.load > 1.0) {
-    // Sharded mode emits the straggling span at join instead of begin: sink
-    // write ORDER can differ from serial, the span itself is identical.
-    config_.obs.trace->Span("straggling", "fault", obs::kPidWorkers, p,
-                            f.begin_time, f.begin_time + compute_s,
-                            {"load", f.load});
-  }
-  f.final_ops = ops;
-  f.final_residual = f.ctx.residual_;
-  const bool activated =
-      cluster_.queue().Activate(f.parked, f.begin_time + compute_s);
-  AMR_CHECK(activated) << "parked completion event went stale before join";
-  f.parked = 0;
-}
-
-void AsyncEngine::DriveSharded() {
-  sim::EventQueue& queue = cluster_.queue();
-  for (;;) {
-    sim::SimTime t_next = 0.0;
-    uint64_t seq_next = 0;
-    if (!queue.PeekNextEvent(&t_next, &seq_next)) {
-      // No fireable event: every future event is an in-flight completion.
-      // Join them all (ascending p — deterministic, and the replays are
-      // partition-confined) and let the queue order the activated events.
-      bool any = false;
-      for (uint32_t p = 0; p < num_partitions_; ++p) {
-        if (workers_[p].inflight.active) {
-          JoinInFlight(p);
-          any = true;
-        }
-      }
-      if (!any) break;
-      continue;
-    }
-    // Conservative lookahead: an in-flight completion lands at (finish,
-    // parked_seq) with finish >= lb_time, so the next event may fire only
-    // if its full (time, seq) key beats every in-flight bound. Every event
-    // fired here therefore precedes every eventual completion key, which is
-    // what keeps the pop sequence exactly serial.
-    bool joined = false;
-    for (uint32_t p = 0; p < num_partitions_; ++p) {
-      const Worker::InFlight& f = workers_[p].inflight;
-      if (!f.active) continue;
-      if (f.lb_time < t_next ||
-          (f.lb_time == t_next && f.parked_seq < seq_next)) {
-        JoinInFlight(p);
-        joined = true;
-      }
-    }
-    if (joined) continue;  // re-peek: a completion may now be the next event
-    queue.RunOne();
-  }
 }
 
 void AsyncEngine::FinishCompute(uint32_t p, uint32_t epoch, uint64_t ops,
@@ -364,12 +248,12 @@ void AsyncEngine::FinishCompute(uint32_t p, uint32_t epoch, uint64_t ops,
   w.merge_ops += merge_ops;
   w.ledger.last_residual = residual;
   w.ledger.dirty = true;
-  if (config_.obs.trace != nullptr) {
-    config_.obs.trace->Span(w.keepalive ? "keepalive" : "compute", "worker",
-                            obs::kPidWorkers, p, w.compute_started_at,
-                            cluster_.now(),
-                            {"iter", static_cast<double>(w.iterations)},
-                            {"ops", static_cast<double>(ops)});
+  if (config_.tuning.obs.trace != nullptr) {
+    config_.tuning.obs.trace->Span(w.keepalive ? "keepalive" : "compute",
+                                   "worker", obs::kPidWorkers, p,
+                                   w.compute_started_at, cluster_.now(),
+                                   {"iter", static_cast<double>(w.iterations)},
+                                   {"ops", static_cast<double>(ops)});
   }
 
   // Batches sit in w.out, index-aligned with the sorted send_peers_[p] (so
@@ -407,12 +291,12 @@ void AsyncEngine::OnBatchDelivered(uint32_t to, uint32_t from,
                                    uint32_t from_clock, uint32_t from_epoch,
                                    const UpdateBatch& batch, uint64_t flow_id) {
   Worker& w = workers_[to];
-  if (config_.obs.trace != nullptr && flow_id != 0) {
+  if (config_.tuning.obs.trace != nullptr && flow_id != 0) {
     // Arrow head at the receiver, bound to the FlowBegin LaunchBatch emitted
     // (dropped deliveries still get their arrow — the network moved the
     // bytes either way).
-    config_.obs.trace->FlowEnd("batch", "net", obs::kPidWorkers, to,
-                               cluster_.now(), flow_id);
+    config_.tuning.obs.trace->FlowEnd("batch", "net", obs::kPidWorkers, to,
+                                      cluster_.now(), flow_id);
   }
   // Every delivery counts as received, applied or not: the sender counted it
   // at send time, and the Safra proof needs the global sums to balance. The
@@ -432,16 +316,7 @@ void AsyncEngine::OnBatchDelivered(uint32_t to, uint32_t from,
     // past the sender's when it emitted. Negative = sender ahead.
     staleness_[to].Add(static_cast<double>(w.iterations) -
                        static_cast<double>(from_clock));
-    if (w.inflight.active) {
-      // The receiver's compute is on a pool thread (kSharded): every piece
-      // of engine bookkeeping around this delivery stays right here, but
-      // the app-state mutation replays at join — serial semantics already
-      // ran the compute, atomically, at begin, so the apply comes after.
-      w.inflight.deferred.push_back({Worker::DeferredCallback::Kind::kApply,
-                                     from, from_clock, from_epoch, batch});
-    } else {
-      apply_(to, from, from_clock, from_epoch, batch);
-    }
+    apply_(to, from, from_clock, from_epoch, batch);
     w.pending_input = true;
     w.unmerged_records += batch.records;
   }
@@ -454,10 +329,10 @@ void AsyncEngine::OnBatchDelivered(uint32_t to, uint32_t from,
       if (suspected_[to][idx] != 0) {
         suspected_[to][idx] = 0;
         --suspected_count_[to];
-        if (config_.obs.trace != nullptr) {
-          config_.obs.trace->Instant("peer-healed", "fault", obs::kPidWorkers,
-                                     to, cluster_.now(),
-                                     {"peer", static_cast<double>(from)});
+        if (config_.tuning.obs.trace != nullptr) {
+          config_.tuning.obs.trace->Instant(
+              "peer-healed", "fault", obs::kPidWorkers, to, cluster_.now(),
+              {"peer", static_cast<double>(from)});
         }
       }
     }
@@ -472,7 +347,7 @@ void AsyncEngine::OnBatchDelivered(uint32_t to, uint32_t from,
 void AsyncEngine::EmitBatch(uint32_t p, size_t peer_index, UpdateBatch batch,
                             uint32_t clock) {
   Worker& w = workers_[p];
-  if (config_.coalesce_batches) {
+  if (config_.tuning.coalesce_batches) {
     Worker::PeerLink& link = w.links[peer_index];
     if (link.in_flight) {
       // A flow to this peer is still in the pipe: append to the pending
@@ -519,11 +394,11 @@ void AsyncEngine::OpenFlow(uint32_t p, size_t peer_index,
   const uint64_t bytes = config_.update_envelope_bytes + payload->payload.size();
   total_bytes_ += bytes;
   uint64_t fid = 0;
-  if (config_.obs.trace != nullptr) {
+  if (config_.tuning.obs.trace != nullptr) {
     // Arrow tail at the sender, bound to the id Transfer is about to assign
     // (and that the network's own flow span carries).
     fid = cluster_.network().next_flow_id();
-    config_.obs.trace->FlowBegin(
+    config_.tuning.obs.trace->FlowBegin(
         "batch", "net", obs::kPidWorkers, p, cluster_.now(), fid,
         {"records", static_cast<double>(payload->records)},
         {"clock", static_cast<double>(clock)});
@@ -554,21 +429,22 @@ void AsyncEngine::OnFlowFailed(uint32_t p, size_t peer_index,
   if (finished_) return;
   if (w.epoch != epoch) return;  // dead incarnation; its restore re-announces
   const uint32_t q = send_peers_[p][peer_index];
-  if (attempt + 1 < config_.max_batch_retries) {
+  if (attempt + 1 < config_.tuning.max_batch_retries) {
     // Exponential backoff with jitter; the jitter draw happens only on an
     // actual retry, so fault-free runs never touch the RNG stream.
+    const EngineTuning& t = config_.tuning;
     double backoff = std::min(
-        config_.retry_backoff_base_s * std::pow(2.0, static_cast<double>(attempt)),
-        config_.retry_backoff_max_s);
-    backoff *= 1.0 + config_.retry_jitter_frac * cluster_.rng().NextDouble();
+        t.retry_backoff_base_s * std::pow(2.0, static_cast<double>(attempt)),
+        t.retry_backoff_max_s);
+    backoff *= 1.0 + t.retry_jitter_frac * cluster_.rng().NextDouble();
     ++w.batch_retries;
     w.retry_backoff_seconds += backoff;
     ++w.pending_retries;
-    if (config_.obs.trace != nullptr) {
-      config_.obs.trace->Instant("batch-retry", "fault", obs::kPidWorkers, p,
-                                 cluster_.now(),
-                                 {"peer", static_cast<double>(q)},
-                                 {"attempt", static_cast<double>(attempt + 1)});
+    if (config_.tuning.obs.trace != nullptr) {
+      config_.tuning.obs.trace->Instant(
+          "batch-retry", "fault", obs::kPidWorkers, p, cluster_.now(),
+          {"peer", static_cast<double>(q)},
+          {"attempt", static_cast<double>(attempt + 1)});
     }
     cluster_.queue().ScheduleAfter(
         backoff, [this, p, peer_index, payload, clock, epoch, attempt] {
@@ -585,10 +461,10 @@ void AsyncEngine::OnFlowFailed(uint32_t p, size_t peer_index,
   // everything q gates on — the same path a peer restart uses, so the lost
   // records are superseded rather than resent.
   ++w.batches_abandoned;
-  if (config_.obs.trace != nullptr) {
-    config_.obs.trace->Instant("batch-abandoned", "fault", obs::kPidWorkers, p,
-                               cluster_.now(),
-                               {"peer", static_cast<double>(q)});
+  if (config_.tuning.obs.trace != nullptr) {
+    config_.tuning.obs.trace->Instant("batch-abandoned", "fault",
+                                      obs::kPidWorkers, p, cluster_.now(),
+                                      {"peer", static_cast<double>(q)});
   }
   OnFlowDelivered(p, peer_index, epoch);  // free the coalescing edge
   ForceSenderReannounce(p, q);
@@ -596,17 +472,7 @@ void AsyncEngine::OnFlowFailed(uint32_t p, size_t peer_index,
 
 void AsyncEngine::ForceSenderReannounce(uint32_t p, uint32_t q) {
   Worker& w = workers_[p];
-  if (on_peer_restart_) {
-    if (w.inflight.active) {
-      // p's compute is on a pool thread: the delta-filter mutation would
-      // race it (and serially comes after the already-begun compute), so it
-      // replays at join like a deferred apply.
-      w.inflight.deferred.push_back(
-          {Worker::DeferredCallback::Kind::kPeerRestart, q, 0, 0, {}});
-    } else {
-      on_peer_restart_(p, q);
-    }
-  }
+  if (on_peer_restart_) on_peer_restart_(p, q);
   if (w.phase == WorkerPhase::kDown) return;
   w.pending_input = true;
   w.ledger.dirty = true;
@@ -631,10 +497,10 @@ void AsyncEngine::OnPartitionHealed(size_t window_index) {
         continue;
       }
       ++heal_reannouncements_;
-      if (config_.obs.trace != nullptr) {
-        config_.obs.trace->Instant("heal-reannounce", "fault",
-                                   obs::kPidWorkers, p, cluster_.now(),
-                                   {"peer", static_cast<double>(q)});
+      if (config_.tuning.obs.trace != nullptr) {
+        config_.tuning.obs.trace->Instant("heal-reannounce", "fault",
+                                          obs::kPidWorkers, p, cluster_.now(),
+                                          {"peer", static_cast<double>(q)});
       }
       ForceSenderReannounce(p, q);
     }
@@ -661,14 +527,14 @@ bool AsyncEngine::GateAdmits(uint32_t p, uint32_t next_iteration) const {
 }
 
 void AsyncEngine::ArmSuspicionTimer(uint32_t p) {
-  if (config_.suspicion_timeout_s <= 0.0 ||
+  if (config_.tuning.suspicion_timeout_s <= 0.0 ||
       config_.staleness_bound == kUnboundedStaleness) {
     return;
   }
   const uint32_t epoch = workers_[p].epoch;
   const double since = workers_[p].blocked_since;
   cluster_.queue().ScheduleAfter(
-      config_.suspicion_timeout_s, [this, p, epoch, since] {
+      config_.tuning.suspicion_timeout_s, [this, p, epoch, since] {
         if (finished_) return;
         const Worker& w = workers_[p];
         // Only the very blocked stretch this timer was armed for counts; any
@@ -696,11 +562,11 @@ void AsyncEngine::SuspectBlockingPeers(uint32_t p) {
     ++suspected_count_[p];
     ++peers_suspected_total_;
     any = true;
-    if (config_.obs.trace != nullptr) {
-      config_.obs.trace->Instant("peer-suspected", "fault", obs::kPidWorkers,
-                                 p, cluster_.now(),
-                                 {"peer", static_cast<double>(table.peers()[i])},
-                                 {"clock", static_cast<double>(clocks[i])});
+    if (config_.tuning.obs.trace != nullptr) {
+      config_.tuning.obs.trace->Instant(
+          "peer-suspected", "fault", obs::kPidWorkers, p, cluster_.now(),
+          {"peer", static_cast<double>(table.peers()[i])},
+          {"clock", static_cast<double>(clocks[i])});
     }
   }
   if (any) TryStartIteration(p);
@@ -708,7 +574,7 @@ void AsyncEngine::SuspectBlockingPeers(uint32_t p) {
 
 void AsyncEngine::OnFlowDelivered(uint32_t p, size_t peer_index,
                                   uint32_t epoch) {
-  if (!config_.coalesce_batches) return;
+  if (!config_.tuning.coalesce_batches) return;
   Worker& w = workers_[p];
   if (w.epoch != epoch) return;  // sender restarted; CrashWorker reset links
   Worker::PeerLink& link = w.links[peer_index];
@@ -751,8 +617,8 @@ void AsyncEngine::TakeCheckpoint(uint32_t p, bool free_write) {
   if (!free_write) {
     ++w.checkpoints;
     w.checkpoint_bytes += encoded.size();
-    if (config_.obs.trace != nullptr) {
-      config_.obs.trace->Instant(
+    if (config_.tuning.obs.trace != nullptr) {
+      config_.tuning.obs.trace->Instant(
           "checkpoint", "ckpt", obs::kPidWorkers, p, cluster_.now(),
           {"iter", static_cast<double>(w.iterations)},
           {"bytes", static_cast<double>(encoded.size())});
@@ -777,12 +643,6 @@ void AsyncEngine::ScheduleNextCrash(uint32_t p) {
 
 void AsyncEngine::FenceWorker(uint32_t p) {
   Worker& w = workers_[p];
-  // An offloaded compute must land before the process can die: serially it
-  // ran at begin (before this crash), its deferred applies were delivered
-  // before the crash too, and the restore path rebuilds the very state the
-  // pool thread is reading. The activated completion then no-ops on the
-  // epoch guard exactly like the serial engine's pre-scheduled one.
-  if (w.inflight.active) JoinInFlight(p);
   ++w.epoch;  // in-flight batches/grants/completions of the old epoch die
   ++total_restarts_;
   if (w.phase == WorkerPhase::kComputing) {
@@ -836,17 +696,18 @@ void AsyncEngine::CrashWorker(uint32_t p, bool node_failure) {
   const double restart_delay = cluster_.spec().worker_restart_delay_s;
   const double delay = restart_delay + checkpoints_.ReadSeconds(*snapshot);
   recovery_seconds_ += delay;
-  if (config_.obs.trace != nullptr) {
+  if (config_.tuning.obs.trace != nullptr) {
     // The outage is future-dated at crash time: its length is already
     // deterministic here, and this way a run that terminates mid-recovery
     // still shows the outage that was in progress.
     if (phase_at_crash == WorkerPhase::kBlocked) EmitBlockedSpan(p);
-    config_.obs.trace->Instant("crash", "fault", obs::kPidWorkers, p, now,
-                               {"epoch", static_cast<double>(w.epoch)});
-    config_.obs.trace->Span("down", "fault", obs::kPidWorkers, p, now,
-                            now + restart_delay);
-    config_.obs.trace->Span("recovering", "fault", obs::kPidWorkers, p,
-                            now + restart_delay, now + delay);
+    config_.tuning.obs.trace->Instant("crash", "fault", obs::kPidWorkers, p,
+                                      now,
+                                      {"epoch", static_cast<double>(w.epoch)});
+    config_.tuning.obs.trace->Span("down", "fault", obs::kPidWorkers, p, now,
+                                   now + restart_delay);
+    config_.tuning.obs.trace->Span("recovering", "fault", obs::kPidWorkers, p,
+                                   now + restart_delay, now + delay);
   }
   AMR_LOG_DEBUG << "async worker " << p << " crashed at t=" << now
                 << "; restoring in " << delay << " s (epoch " << w.epoch << ")";
@@ -947,11 +808,11 @@ void AsyncEngine::RestoreFromImage(uint32_t p, const serde::Buffer& encoded) {
     ForceSenderReannounce(q, p);
   }
 
-  if (config_.obs.trace != nullptr) {
-    config_.obs.trace->Instant("restored", "fault", obs::kPidWorkers, p,
-                               cluster_.now(),
-                               {"iter", static_cast<double>(w.iterations)},
-                               {"epoch", static_cast<double>(w.epoch)});
+  if (config_.tuning.obs.trace != nullptr) {
+    config_.tuning.obs.trace->Instant(
+        "restored", "fault", obs::kPidWorkers, p, cluster_.now(),
+        {"iter", static_cast<double>(w.iterations)},
+        {"epoch", static_cast<double>(w.epoch)});
   }
   AMR_LOG_DEBUG << "async worker " << p << " restored at t=" << cluster_.now()
                 << " to iteration " << w.iterations << " (epoch " << w.epoch
@@ -997,10 +858,10 @@ void AsyncEngine::OnNodeCrash(net::NodeId node) {
     for (const Worker& aw : workers_) resident += aw.node == node ? 1 : 0;
     AuditNodeLedger(resident, node_worker_count_[node]);
   });
-  if (config_.obs.trace != nullptr) {
-    config_.obs.trace->Instant("node-crash", "fault", obs::kPidControl, node,
-                               now,
-                               {"repair_s", cluster_.spec().node_repair_s});
+  if (config_.tuning.obs.trace != nullptr) {
+    config_.tuning.obs.trace->Instant(
+        "node-crash", "fault", obs::kPidControl, node, now,
+        {"repair_s", cluster_.spec().node_repair_s});
   }
   AMR_LOG_DEBUG << "node " << node << " crashed at t=" << now << " (repair "
                 << cluster_.spec().node_repair_s << " s)";
@@ -1020,9 +881,9 @@ void AsyncEngine::OnRackCrash(uint32_t rack) {
   ++rack_crash_episodes_;
   const uint32_t npr = cluster_.network().topology().config().nodes_per_rack;
   const uint32_t n = cluster_.spec().num_nodes();
-  if (config_.obs.trace != nullptr) {
-    config_.obs.trace->Instant("rack-crash", "fault", obs::kPidControl, rack,
-                               cluster_.now());
+  if (config_.tuning.obs.trace != nullptr) {
+    config_.tuning.obs.trace->Instant("rack-crash", "fault", obs::kPidControl,
+                                      rack, cluster_.now());
   }
   const uint32_t first = rack * npr;
   for (net::NodeId node = first; node < std::min(first + npr, n); ++node) {
@@ -1056,11 +917,11 @@ void AsyncEngine::MoveWorker(uint32_t p, net::NodeId target) {
   AMR_CHECK(!node_worker_count_.empty());
   --node_worker_count_[w.node];
   ++node_worker_count_[target];
-  if (config_.obs.trace != nullptr) {
-    config_.obs.trace->Instant("relaunch", "fault", obs::kPidWorkers, p,
-                               cluster_.now(),
-                               {"from", static_cast<double>(w.node)},
-                               {"to", static_cast<double>(target)});
+  if (config_.tuning.obs.trace != nullptr) {
+    config_.tuning.obs.trace->Instant("relaunch", "fault", obs::kPidWorkers, p,
+                                      cluster_.now(),
+                                      {"from", static_cast<double>(w.node)},
+                                      {"to", static_cast<double>(target)});
   }
   AMR_LOG_DEBUG << "worker " << p << " relaunching on node " << target
                 << " (was " << w.node << ")";
@@ -1070,11 +931,12 @@ void AsyncEngine::MoveWorker(uint32_t p, net::NodeId target) {
 // --- speculative backup workers ----------------------------------------------
 
 void AsyncEngine::ScheduleSpeculationScan() {
-  cluster_.queue().ScheduleAfter(config_.speculation_check_interval_s, [this] {
-    if (finished_) return;  // breaks the timer chain so the queue drains
-    SpeculationScan();
-    ScheduleSpeculationScan();
-  });
+  cluster_.queue().ScheduleAfter(
+      config_.tuning.speculation_check_interval_s, [this] {
+        if (finished_) return;  // breaks the timer chain so the queue drains
+        SpeculationScan();
+        ScheduleSpeculationScan();
+      });
 }
 
 void AsyncEngine::SpeculationScan() {
@@ -1121,7 +983,7 @@ void AsyncEngine::SpeculationScan() {
         w.ledger.last_residual < config_.convergence_threshold) {
       continue;
     }
-    if (rates[p] * config_.speculation_factor >= median) continue;
+    if (rates[p] * config_.tuning.speculation_factor >= median) continue;
     LaunchBackup(p);
   }
 }
@@ -1142,11 +1004,11 @@ void AsyncEngine::LaunchBackup(uint32_t p) {
   // long-lived pointer, and the straggler may checkpoint again meanwhile.
   b.image = *snapshot;
   ++speculative_launches_;
-  if (config_.obs.trace != nullptr) {
-    config_.obs.trace->Instant("backup-launch", "spec", obs::kPidWorkers, p,
-                               cluster_.now(),
-                               {"target", static_cast<double>(*target)},
-                               {"iter", static_cast<double>(b.launch_iters)});
+  if (config_.tuning.obs.trace != nullptr) {
+    config_.tuning.obs.trace->Instant(
+        "backup-launch", "spec", obs::kPidWorkers, p, cluster_.now(),
+        {"target", static_cast<double>(*target)},
+        {"iter", static_cast<double>(b.launch_iters)});
   }
   // Incubation = replacement spawn + checkpoint read, the same recovery cost
   // a crash pays. First to progress wins; the check happens at readiness.
@@ -1172,9 +1034,9 @@ void AsyncEngine::OnBackupReady(uint32_t p, uint32_t seq) {
   if (straggler_progressed || w.phase == WorkerPhase::kDown ||
       NodeDownNow(b.target)) {
     ++speculative_losses_;
-    if (config_.obs.trace != nullptr) {
-      config_.obs.trace->Instant("backup-lost", "spec", obs::kPidWorkers, p,
-                                 cluster_.now());
+    if (config_.tuning.obs.trace != nullptr) {
+      config_.tuning.obs.trace->Instant("backup-lost", "spec", obs::kPidWorkers,
+                                        p, cluster_.now());
     }
     b.image = serde::Buffer{};
     return;
@@ -1183,10 +1045,10 @@ void AsyncEngine::OnBackupReady(uint32_t p, uint32_t seq) {
   // batches and events die as dead-epoch, exactly like a crash) and bring
   // the replica up in its place — no downtime, the replacement is live now.
   ++speculative_wins_;
-  if (config_.obs.trace != nullptr) {
-    config_.obs.trace->Instant("backup-win", "spec", obs::kPidWorkers, p,
-                               cluster_.now(),
-                               {"target", static_cast<double>(b.target)});
+  if (config_.tuning.obs.trace != nullptr) {
+    config_.tuning.obs.trace->Instant(
+        "backup-win", "spec", obs::kPidWorkers, p, cluster_.now(),
+        {"target", static_cast<double>(b.target)});
   }
   AMR_LOG_DEBUG << "speculative backup for worker " << p << " wins at t="
                 << cluster_.now() << "; fencing straggler on node " << w.node;
@@ -1212,15 +1074,15 @@ Histogram MakeStalenessHistogram() {
 }  // namespace
 
 void AsyncEngine::EmitBlockedSpan(uint32_t p) {
-  if (config_.obs.trace == nullptr) return;
+  if (config_.tuning.obs.trace == nullptr) return;
   const Worker& w = workers_[p];
-  config_.obs.trace->Span("gate-blocked", "worker", obs::kPidWorkers, p,
-                          w.blocked_since, cluster_.now(),
-                          {"iter", static_cast<double>(w.iterations)});
+  config_.tuning.obs.trace->Span("gate-blocked", "worker", obs::kPidWorkers, p,
+                                 w.blocked_since, cluster_.now(),
+                                 {"iter", static_cast<double>(w.iterations)});
 }
 
 void AsyncEngine::InstallObservability() {
-  obs::TraceSink* trace = config_.obs.trace;
+  obs::TraceSink* trace = config_.tuning.obs.trace;
   if (trace != nullptr) {
     cluster_.network().set_trace(trace);
     cluster_.set_trace(trace);
@@ -1235,7 +1097,7 @@ void AsyncEngine::InstallObservability() {
     }
   }
 
-  obs::MetricsRegistry* m = config_.obs.metrics;
+  obs::MetricsRegistry* m = config_.tuning.obs.metrics;
   if (m == nullptr) return;
   auto probe = [&](std::string name, std::function<double()> fn) {
     metric_probe_ids_.push_back(m->AddProbe(std::move(name), std::move(fn)));
@@ -1319,10 +1181,10 @@ void AsyncEngine::InstallObservability() {
 }
 
 void AsyncEngine::ScheduleMetricsSample() {
-  const double interval = std::max(config_.obs.metrics_interval_s, 1e-6);
+  const double interval = std::max(config_.tuning.obs.metrics_interval_s, 1e-6);
   cluster_.queue().ScheduleAfter(interval, [this] {
     if (finished_) return;  // breaks the tick chain so the queue drains
-    config_.obs.metrics->Sample(cluster_.now());
+    config_.tuning.obs.metrics->Sample(cluster_.now());
     ScheduleMetricsSample();
   });
 }
@@ -1371,7 +1233,7 @@ void AsyncEngine::ArmTokenRegenTimer() {
   // shorter than an honest slow circuit, doubling it guarantees the timer
   // eventually outwaits the circuit instead of livelocking the control plane.
   const double timeout =
-      config_.token_regen_timeout_s *
+      config_.tuning.token_regen_timeout_s *
       static_cast<double>(1u << std::min(consecutive_regens_, 6u));
   cluster_.queue().ScheduleAfter(timeout, [this, gen] {
     if (finished_) return;
@@ -1383,10 +1245,10 @@ void AsyncEngine::ArmTokenRegenTimer() {
     // Abandon the stranded generation: bumping the live counter makes every
     // handler drop the old token if it ever limps home.
     ++token_circuits_;
-    if (config_.obs.trace != nullptr) {
-      config_.obs.trace->Instant("token-regen", "token", obs::kPidControl, 0,
-                                 cluster_.now(),
-                                 {"gen", static_cast<double>(token_circuits_)});
+    if (config_.tuning.obs.trace != nullptr) {
+      config_.tuning.obs.trace->Instant(
+          "token-regen", "token", obs::kPidControl, 0, cluster_.now(),
+          {"gen", static_cast<double>(token_circuits_)});
     }
     AMR_LOG_DEBUG << "token generation " << gen << " presumed lost at t="
                   << cluster_.now() << "; regenerating as " << token_circuits_;
@@ -1479,8 +1341,8 @@ void AsyncEngine::CompleteCircuit(const ProgressToken& token) {
   // a sum mismatch at completion).
   const bool proved =
       token.ProvesTermination() && token.restarts == total_restarts_;
-  if (config_.obs.trace != nullptr) {
-    config_.obs.trace->Span(
+  if (config_.tuning.obs.trace != nullptr) {
+    config_.tuning.obs.trace->Span(
         "token-circuit", "token", obs::kPidControl, 0, circuit_start_time_,
         cluster_.now(), {"circuit", static_cast<double>(token_circuits_ - 1)},
         {"proved", proved ? 1.0 : 0.0});
@@ -1493,14 +1355,14 @@ void AsyncEngine::CompleteCircuit(const ProgressToken& token) {
            token.residual, token.residual_known);
     return;
   }
-  double backoff = config_.token_backoff_s;
-  if (config_.adaptive_token_backoff) {
+  double backoff = config_.tuning.token_backoff_s;
+  if (config_.tuning.adaptive_token_backoff) {
     // Pause for as long as the failed circuit itself took (P RPC hops plus
     // worker-visit latencies), so token traffic stays a bounded fraction of
     // the control plane at any partition count.
     backoff = std::clamp(
-        cluster_.now() - circuit_start_time_, config_.token_backoff_s,
-        std::max(config_.token_backoff_s, config_.token_backoff_max_s));
+        cluster_.now() - circuit_start_time_, config_.tuning.token_backoff_s,
+        std::max(config_.tuning.token_backoff_s, config_.token_backoff_max_s));
   }
   cluster_.queue().ScheduleAfter(backoff, [this] {
     if (!finished_) StartCircuit();
@@ -1527,7 +1389,7 @@ AsyncResult AsyncEngine::Run() {
   const bool crashes = cluster_.spec().worker_crash_rate > 0.0;
   const bool node_faults = cluster_.spec().node_crash_rate > 0.0 ||
                            cluster_.spec().rack_crash_rate > 0.0;
-  const bool speculation = config_.speculation_factor > 0.0;
+  const bool speculation = config_.tuning.speculation_factor > 0.0;
   AMR_CHECK(!(crashes || node_faults || speculation) ||
             (snapshot_ && restore_))
       << "crash injection and speculation require snapshot and restore "
@@ -1550,8 +1412,8 @@ AsyncResult AsyncEngine::Run() {
     staleness_.push_back(MakeStalenessHistogram());
   }
   checkpoints_.ResetPartitions(num_partitions_);
-  if (config_.checkpoint_corruption_prob > 0.0) {
-    checkpoints_.set_corruption(config_.checkpoint_corruption_prob,
+  if (config_.tuning.checkpoint_corruption_prob > 0.0) {
+    checkpoints_.set_corruption(config_.tuning.checkpoint_corruption_prob,
                                 cluster_.spec().seed);
   }
   if (snapshot_) {
@@ -1563,8 +1425,8 @@ AsyncResult AsyncEngine::Run() {
     }
   }
   start_time_ = cluster_.now();
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->Sample(cluster_.now());  // t = start row
+  if (config_.tuning.obs.metrics != nullptr) {
+    config_.tuning.obs.metrics->Sample(cluster_.now());  // t = start row
     ScheduleMetricsSample();
   }
   for (uint32_t p = 0; p < num_partitions_; ++p) TryStartIteration(p);
@@ -1593,21 +1455,11 @@ AsyncResult AsyncEngine::Run() {
                               [this, i] { OnPartitionHealed(i); });
   }
   StartCircuit();
-  if (config_.des_mode == DesMode::kSharded) {
-    const uint32_t threads =
-        config_.shard_threads != 0
-            ? config_.shard_threads
-            : std::max(2u, std::thread::hardware_concurrency());
-    shard_pool_ = std::make_unique<ThreadPool>(threads);
-    DriveSharded();
-    shard_pool_.reset();
-  } else {
-    cluster_.RunUntilIdle();
-  }
+  cluster_.RunUntilIdle();
   AMR_CHECK(finished_)
       << "async engine drained the event queue without terminating";
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->Sample(cluster_.now());  // end-of-run row
+  if (config_.tuning.obs.metrics != nullptr) {
+    config_.tuning.obs.metrics->Sample(cluster_.now());  // end-of-run row
   }
 
   AsyncResult result;
@@ -1657,8 +1509,8 @@ AsyncResult AsyncEngine::Run() {
   result.staleness_p95 = staleness.Percentile(95);
   result.staleness_min = staleness.min_seen();
   result.staleness_max = staleness.max_seen();
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics
+  if (config_.tuning.obs.metrics != nullptr) {
+    config_.tuning.obs.metrics
         ->AddHistogram("staleness_lag", MakeStalenessHistogram())
         ->Merge(staleness);
   }

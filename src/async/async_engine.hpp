@@ -64,7 +64,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -75,7 +74,6 @@
 #include "async/state_store.hpp"
 #include "cluster/cluster.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/obs.hpp"
 #include "serde/serde.hpp"
 
@@ -131,122 +129,11 @@ std::vector<U> DecodeBatch(const UpdateBatch& batch) {
   return out;
 }
 
-/// Event-loop execution mode for the engine's Run().
-///
-/// kSerial is the exact reference: one host thread drives the DES and runs
-/// every compute callback inline, and all stored BENCH trajectories pin it.
-///
-/// kSharded offloads compute-callback *bodies* to a thread pool while the
-/// event loop itself stays serial — every state mutation, RNG draw, and
-/// schedule happens on the driver thread in exact serial order. The driver
-/// parks each iteration's completion event at BeginCompute (claiming the
-/// same sequence number the serial engine's ScheduleAfter would), launches
-/// the partition-confined compute on the pool, and joins it only when the
-/// next fireable event could outrun the iteration's conservative finish
-/// lower bound (begin time + merge-cost-only compute time — merge ops are
-/// known at begin, total ops only at join). Deliveries to an in-flight
-/// partition defer just their apply callback (all engine bookkeeping stays
-/// at delivery time) and replay in order at join. The result: the final
-/// AsyncResult is bit-identical to kSerial for all five apps
-/// (tests/test_sharded.cpp pins it), with concurrently-begun iterations
-/// genuinely overlapping on the host.
-///
-/// Full node-sharded PDES is deliberately NOT attempted: the fluid network
-/// recomputes both endpoints of every flow at the same virtual instant
-/// (zero lookahead across nodes) and BeginCompute draws jitter/straggler
-/// noise from the shared cluster RNG in global event order, so any
-/// node-partitioned schedule would either break bit-identity or serialize
-/// on exactly the events that dominate. Offloading the compute bodies —
-/// the paper's actual per-iteration work — is the part that parallelizes
-/// soundly.
-enum class DesMode : uint8_t {
-  kSerial = 0,
-  kSharded = 1,
-};
-
-/// The engine knobs applications expose to callers without replicating the
-/// whole AsyncConfig (apps own most AsyncConfig fields — thresholds, caps,
-/// names — but these are pure transport/termination tuning): see
-/// AsyncConfig::ApplyTuning. Benches sweep them for the P >> slots regime.
+/// The transport, termination and fault knobs applications expose to callers
+/// without replicating the whole AsyncConfig (apps own the other AsyncConfig
+/// fields — thresholds, caps, names — and copy this struct into
+/// AsyncConfig::tuning). Benches sweep them for the P >> slots regime.
 struct EngineTuning {
-  /// Event-loop execution mode (see DesMode). kSerial is the bit-exact
-  /// default; kSharded overlaps compute callbacks on a thread pool with a
-  /// bit-identical final result.
-  DesMode des_mode = DesMode::kSerial;
-  /// Thread-pool size for kSharded (0 = size to the hardware). Any value
-  /// yields the same results — it only changes host-side overlap.
-  uint32_t shard_threads = 0;
-  /// Merge emissions to a peer into one pending batch while a flow to that
-  /// peer is already in flight, instead of opening a new flow per iteration
-  /// (see AsyncConfig::coalesce_batches).
-  bool coalesce_batches = false;
-  /// Scale the pause between termination-token circuits to the measured
-  /// circuit duration (see AsyncConfig::adaptive_token_backoff).
-  bool adaptive_token_backoff = false;
-  /// Base (and, in adaptive mode, minimum) inter-circuit pause.
-  double token_backoff_s = 0.25;
-  /// Retry/backoff for update batches lost to the adversarial network (see
-  /// AsyncConfig for semantics). Only consulted when links actually fail.
-  uint32_t max_batch_retries = 16;
-  double retry_backoff_base_s = 0.05;
-  double retry_backoff_max_s = 10.0;
-  double retry_jitter_frac = 0.2;
-  /// Peer-suspicion timeout for the bounded-staleness gate (0 = disabled;
-  /// see AsyncConfig::suspicion_timeout_s).
-  double suspicion_timeout_s = 0.0;
-  /// Checkpoint corruption-injection probability (see
-  /// AsyncConfig::checkpoint_corruption_prob).
-  double checkpoint_corruption_prob = 0.0;
-  /// Termination-token regeneration timeout (see
-  /// AsyncConfig::token_regen_timeout_s). Armed only when the network can
-  /// actually lose the token.
-  double token_regen_timeout_s = 3.0;
-  /// Speculative backup workers for engine-level stragglers (see
-  /// AsyncConfig::speculation_factor; 0 = disabled).
-  double speculation_factor = 0.0;
-  double speculation_check_interval_s = 1.0;
-  /// Observability sinks (null = disabled, the default; see obs/obs.hpp).
-  /// The sinks must outlive the engine; the engine detaches what it installed
-  /// (network/cluster trace pointers, metric probes) in its destructor.
-  obs::Observability obs;
-};
-
-struct AsyncConfig {
-  /// Event-loop execution mode (see DesMode above). kSerial is the exact
-  /// reference and the default everywhere.
-  DesMode des_mode = DesMode::kSerial;
-  /// Thread-pool size for kSharded (0 = hardware concurrency). Result-
-  /// invariant by construction.
-  uint32_t shard_threads = 0;
-  /// Staleness window S (see file comment). 0 = lockstep, kUnboundedStaleness
-  /// = pure async.
-  uint32_t staleness_bound = kUnboundedStaleness;
-  /// A worker idles once its iteration residual drops below this; the run
-  /// terminates (converged) when all workers idle below it with no updates in
-  /// flight.
-  double convergence_threshold = 1e-5;
-  /// Hard per-worker iteration cap; a capped run terminates converged=false.
-  uint32_t max_iterations_per_worker = 10'000;
-  /// Wire envelope bytes per batch; record bytes are the real encoded size.
-  uint64_t update_envelope_bytes = 64;
-  /// Virtual ops charged per delivered update record, folded into the
-  /// receiver's *next* iteration's compute time — applying a peer's batch is
-  /// not free (the wave engines pay the equivalent inside reduce). Records
-  /// delivered to a worker that never iterates again are not charged.
-  double merge_ops_per_record = 1.0;
-  /// Compute-time multiplier (models intra-worker thread pools, like
-  /// gmap_time_scale).
-  double compute_time_scale = 1.0;
-  /// Pause between termination-token circuits that fail to prove termination.
-  double token_backoff_s = 0.25;
-  /// Adaptive inter-circuit pause: back off by the previous circuit's own
-  /// (virtual) duration, clamped to [token_backoff_s, token_backoff_max_s].
-  /// A circuit is P sequential RPC hops, so at P in the thousands a fixed
-  /// small backoff keeps the ring saturated with control traffic; scaling
-  /// the pause to the measured circuit time bounds token overhead at ~50%
-  /// of the RPC path regardless of P, deterministically (virtual time only).
-  bool adaptive_token_backoff = false;
-  double token_backoff_max_s = 30.0;
   /// Per-peer update-batch coalescing: while a flow to a peer is in flight,
   /// merge subsequent emissions to that peer into one pending batch (records
   /// appended in emission order, so replacement semantics are preserved) and
@@ -259,6 +146,17 @@ struct AsyncConfig {
   /// Safra proof is unaffected: a pending batch exists only while its edge
   /// has a flow in flight, which already holds sent > received.
   bool coalesce_batches = false;
+  /// Adaptive inter-circuit pause: back off by the previous circuit's own
+  /// (virtual) duration, clamped to [token_backoff_s,
+  /// AsyncConfig::token_backoff_max_s]. A circuit is P sequential RPC hops,
+  /// so at P in the thousands a fixed small backoff keeps the ring saturated
+  /// with control traffic; scaling the pause to the measured circuit time
+  /// bounds token overhead at ~50% of the RPC path regardless of P,
+  /// deterministically (virtual time only).
+  bool adaptive_token_backoff = false;
+  /// Pause between termination-token circuits that fail to prove termination
+  /// (the base, and in adaptive mode the minimum, inter-circuit pause).
+  double token_backoff_s = 0.25;
 
   // --- robustness under adversarial networks --------------------------------
   /// Sender-side retry for update batches whose flow FAILED (dropped by a
@@ -311,27 +209,37 @@ struct AsyncConfig {
   double speculation_factor = 0.0;
   double speculation_check_interval_s = 1.0;
 
-  /// Observability sinks (see EngineTuning::obs); disabled when null.
+  /// Observability sinks (null = disabled, the default; see obs/obs.hpp).
+  /// The sinks must outlive the engine; the engine detaches what it installed
+  /// (network/cluster trace pointers, metric probes) in its destructor.
   obs::Observability obs;
+};
 
-  /// Copies the caller-exposed tuning knobs (see EngineTuning).
-  void ApplyTuning(const EngineTuning& t) {
-    des_mode = t.des_mode;
-    shard_threads = t.shard_threads;
-    coalesce_batches = t.coalesce_batches;
-    adaptive_token_backoff = t.adaptive_token_backoff;
-    token_backoff_s = t.token_backoff_s;
-    max_batch_retries = t.max_batch_retries;
-    retry_backoff_base_s = t.retry_backoff_base_s;
-    retry_backoff_max_s = t.retry_backoff_max_s;
-    retry_jitter_frac = t.retry_jitter_frac;
-    suspicion_timeout_s = t.suspicion_timeout_s;
-    checkpoint_corruption_prob = t.checkpoint_corruption_prob;
-    token_regen_timeout_s = t.token_regen_timeout_s;
-    speculation_factor = t.speculation_factor;
-    speculation_check_interval_s = t.speculation_check_interval_s;
-    obs = t.obs;
-  }
+struct AsyncConfig {
+  /// Staleness window S (see file comment). 0 = lockstep, kUnboundedStaleness
+  /// = pure async.
+  uint32_t staleness_bound = kUnboundedStaleness;
+  /// A worker idles once its iteration residual drops below this; the run
+  /// terminates (converged) when all workers idle below it with no updates in
+  /// flight.
+  double convergence_threshold = 1e-5;
+  /// Hard per-worker iteration cap; a capped run terminates converged=false.
+  uint32_t max_iterations_per_worker = 10'000;
+  /// Wire envelope bytes per batch; record bytes are the real encoded size.
+  uint64_t update_envelope_bytes = 64;
+  /// Virtual ops charged per delivered update record, folded into the
+  /// receiver's *next* iteration's compute time — applying a peer's batch is
+  /// not free (the wave engines pay the equivalent inside reduce). Records
+  /// delivered to a worker that never iterates again are not charged.
+  double merge_ops_per_record = 1.0;
+  /// Compute-time multiplier (models intra-worker thread pools, like
+  /// gmap_time_scale).
+  double compute_time_scale = 1.0;
+  /// Upper clamp of the adaptive inter-circuit pause (see
+  /// EngineTuning::adaptive_token_backoff).
+  double token_backoff_max_s = 30.0;
+  /// Transport, termination and fault knobs (see EngineTuning).
+  EngineTuning tuning;
   /// Completed iterations between worker checkpoints (0 = only the free
   /// initial snapshot). Checkpoints are taken only when a snapshot callback
   /// is installed; crash injection (ClusterSpec::worker_crash_rate > 0)
@@ -658,43 +566,6 @@ class AsyncEngine {
     /// the wire, so a token circuit observing balanced sent == received in
     /// the backoff gap must not prove termination.
     uint32_t pending_retries = 0;
-    /// App callbacks deferred while this worker's compute runs on a pool
-    /// thread (kSharded only): the engine bookkeeping for a delivery or a
-    /// forced re-announce happens at its event as usual, but the app-state
-    /// mutation (apply_/on_peer_restart_) would race the in-flight compute
-    /// — and in serial semantics the compute already ran, atomically, at
-    /// BeginCompute — so it replays in arrival order at join, before the
-    /// next compute can observe it.
-    struct DeferredCallback {
-      enum class Kind : uint8_t { kApply, kPeerRestart };
-      Kind kind = Kind::kApply;
-      uint32_t from = 0;  // apply: sender; peer-restart: restarted peer
-      uint32_t from_clock = 0;
-      uint32_t from_epoch = 0;
-      UpdateBatch batch;
-    };
-    /// One in-flight offloaded compute (kSharded only; never set for the
-    /// inline keepalive iterations). The parked event id carries the seq the
-    /// serial engine's FinishCompute schedule would have had; final_* are
-    /// published at join for the parked callback to read when it fires.
-    struct InFlight {
-      bool active = false;
-      std::future<void> done;
-      AsyncContext ctx;
-      uint64_t merge_ops = 0;
-      double begin_time = 0.0;
-      /// Conservative finish lower bound: begin + merge-ops-only compute
-      /// time (<= the real compute time, same float expression shape).
-      double lb_time = 0.0;
-      sim::EventId parked = 0;
-      uint64_t parked_seq = 0;
-      double slowdown = 1.0;  // jitter/straggler draw, made at begin
-      double load = 1.0;      // NodeLoadFactor, read at begin
-      uint64_t final_ops = 0;
-      double final_residual = 0.0;
-      std::vector<DeferredCallback> deferred;
-    };
-    InFlight inflight;
     /// Robustness counters (see WorkerStats).
     uint64_t flow_drops = 0;
     uint64_t batch_retries = 0;
@@ -708,16 +579,6 @@ class AsyncEngine {
 
   void BuildTopology();
   bool KeepaliveDue(const Worker& w, uint32_t p) const;
-  // --- sharded event loop (DesMode::kSharded) --------------------------------
-  /// The drive loop replacing cluster_.RunUntilIdle(): fires queue events
-  /// exactly as the serial engine would, joining in-flight computes whenever
-  /// the next fireable event's (time, seq) could outrun their conservative
-  /// finish bound — so every event still fires in exact serial key order.
-  void DriveSharded();
-  /// Waits for p's offloaded compute, replays its deferred app callbacks in
-  /// arrival order, computes the real finish time with the serial engine's
-  /// exact float expression, and activates the parked completion event.
-  void JoinInFlight(uint32_t p);
   void TryStartIteration(uint32_t p);
   /// `grant_node` is the node whose slot the AcquireSlot grant holds — the
   /// worker's node at acquisition time. Relocation (node crash, speculation)
@@ -941,16 +802,11 @@ class AsyncEngine {
   Histogram downtime_{Histogram::Exponential(0.05, 2.0, 16)};
   double downtime_total_ = 0.0;
   uint32_t recoveries_ = 0;
-  /// Compute-offload pool, created at Run() in kSharded mode only. Workers
-  /// synchronize with the driver purely through Submit futures: the driver
-  /// never touches an in-flight partition's app state or emission buffers,
-  /// and the pool thread never touches anything else.
-  std::unique_ptr<ThreadPool> shard_pool_;
 
   /// Per partition: staleness lag at apply time (see AsyncResult). Built at
   /// Run regardless of the obs config.
   std::vector<Histogram> staleness_;
-  /// Probe handles registered with config_.obs.metrics, removed in ~AsyncEngine.
+  /// Probe handles registered with config_.tuning.obs.metrics, removed in ~AsyncEngine.
   std::vector<size_t> metric_probe_ids_;
   /// Min worker clock cached by the "clock.min" probe for the per-worker
   /// skew probes sampled after it (MetricsRegistry samples in registration

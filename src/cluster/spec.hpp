@@ -112,7 +112,9 @@ struct ClusterSpec {
   /// Far-future event store for the simulation kernel. kHeap is the exact
   /// default every stored BENCH trajectory pins; kCalendar pops the byte-
   /// identical event sequence O(1) amortized per op (bench/micro_des
-  /// measures the crossover; tests/test_sharded.cpp pins the equivalence).
+  /// measures the crossover; the CalendarQueue cases in tests/test_sim.cpp
+  /// and an end-to-end AsyncPageRank case in tests/test_async.cpp pin the
+  /// equivalence).
   sim::QueueMode queue_mode = sim::QueueMode::kHeap;
 
   /// The paper's testbed (Table I): 8 EC2 extra-large instances.

@@ -61,21 +61,6 @@ EventId EventQueue::Reschedule(EventId id, SimTime at) {
   return new_id;  // live_ unchanged: still one pending event
 }
 
-bool EventQueue::Activate(EventId id, SimTime at) {
-  const uint64_t seq = SeqOf(id);
-  if (seq == 0) return false;
-  const uint32_t slot = SlotOf(id);
-  if (slot >= slab_.size()) return false;
-  if (slab_[slot].seq != seq) return false;  // cancelled or already fired
-  AMR_CHECK(at >= now_) << "cannot activate in the past: at=" << at
-                        << " now=" << now_;
-  at += 0.0;  // normalize -0.0: key order must equal numeric order
-  // Always the far store, even for at == now: the zero-delay FIFO's entries
-  // are appended in seq order and this seq predates anything queued there.
-  PushFar(MakeKey(at, id));
-  return true;  // live_ unchanged: the parked event was already counted
-}
-
 void EventQueue::PushFar(HeapKey key) {
   if (mode_ == QueueMode::kCalendar) {
     CalendarInsert(key);
@@ -244,8 +229,6 @@ bool EventQueue::PeekEarliest(HeapKey* key, bool* from_far) {
   if (!have_imm && !have_far) return false;
   // Queued immediates all carry time == now_, which ties or beats every
   // far entry's time, so one key compare resolves the FIFO/seq order too.
-  // (An Activate'd event can carry an older seq at time == now_ — it lives
-  // in the far store, and this same compare puts it before the FIFO.)
   if (have_imm && (!have_far || immediate_[imm_head_] < far)) {
     *key = immediate_[imm_head_];
     *from_far = false;
@@ -253,15 +236,6 @@ bool EventQueue::PeekEarliest(HeapKey* key, bool* from_far) {
     *key = far;
     *from_far = true;
   }
-  return true;
-}
-
-bool EventQueue::PeekNextEvent(SimTime* at, uint64_t* seq) {
-  HeapKey e;
-  bool from_far = false;
-  if (!PeekEarliest(&e, &from_far)) return false;
-  *at = TimeOf(e);
-  *seq = SeqOf(e);
   return true;
 }
 

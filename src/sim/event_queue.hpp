@@ -35,8 +35,8 @@
 // times are spread, which the fluid-flow completion times are). The calendar
 // stores the *full* 128-bit keys and resolves minima by bucket rotation plus
 // a direct-search fallback, so its pop sequence is byte-identical to the
-// heap's — tests/test_sharded.cpp pins that differentially, and bucket
-// occupancy carries its own AUDIT_CHECK contract.
+// heap's — the CalendarQueue cases in tests/test_sim.cpp pin that
+// differentially, and bucket occupancy carries its own AUDIT_CHECK contract.
 #pragma once
 
 #include <bit>
@@ -220,39 +220,6 @@ class EventQueue {
   /// a fluid-model rate change rewrites many completion times per event.
   EventId Reschedule(EventId id, SimTime at);
 
-  /// Allocates a slot and a sequence number for fn WITHOUT making the event
-  /// pending: nothing fires until Activate() gives it a timestamp. The point
-  /// is the seq — it is claimed *now*, at this position in the scheduling
-  /// stream, so a caller that knows an event's ordering rank before it knows
-  /// its time can later Activate it and get exactly the FIFO tie-break a
-  /// plain Schedule at this stream position would have had. This is what
-  /// lets the sharded async engine defer compute-completion scheduling to a
-  /// worker-thread join while staying bit-identical to the serial engine
-  /// (Reschedule can't do this: it re-stamps a fresh seq). A parked event
-  /// occupies its slab slot (counted in pending()) and Cancel works on it.
-  template <typename F>
-  EventId Park(F&& fn) {
-    const uint32_t slot = AllocSlot();
-    const uint64_t seq = next_seq_++;
-    AMR_CHECK(seq < (uint64_t{1} << (64 - kSlotBits))) << "event seq exhausted";
-    Slot& s = slab_[slot];
-    s.fn.Set(std::forward<F>(fn));
-    s.seq = seq;
-    ++live_;
-    AUDIT_CHECK(live_ + free_slots_.size() == slab_.size())
-        << "event slab slot accounting diverged: live=" << live_
-        << " free=" << free_slots_.size() << " slab=" << slab_.size();
-    return (seq << kSlotBits) | slot;
-  }
-
-  /// Makes a parked event pending at absolute time `at` (must be >= now),
-  /// keeping the seq it was parked with. Always enters the far-future store,
-  /// never the zero-delay FIFO: the FIFO's entries are appended in seq order
-  /// and an activated event carries an *old* seq, which would corrupt that
-  /// invariant — one key compare in PeekEarliest resolves the order anyway.
-  /// Returns false if id is stale (cancelled or never parked).
-  bool Activate(EventId id, SimTime at);
-
   /// Fires the earliest pending event, advancing the clock to its timestamp.
   /// Returns false when no events are pending.
   bool RunOne();
@@ -263,22 +230,11 @@ class EventQueue {
   /// Runs events with time <= t, then advances the clock to exactly t.
   void RunUntil(SimTime t);
 
-  /// Pending (non-cancelled, non-fired) event count. Includes parked events
-  /// (they hold slots) even though they cannot fire until activated.
+  /// Pending (non-cancelled, non-fired) event count.
   size_t pending() const { return live_; }
 
   /// Total events fired so far (for determinism assertions in tests).
   uint64_t fired_count() const { return fired_; }
-
-  /// Peeks the earliest *fireable* event without firing it: on true, *at and
-  /// *seq carry its timestamp and sequence number. Parked events are
-  /// invisible here. The sharded engine's drive loop uses (time, seq) as the
-  /// conservative horizon an in-flight compute must beat to stay serial.
-  bool PeekNextEvent(SimTime* at, uint64_t* seq);
-
-  /// Sequence number carried by an event id — its FIFO rank among events
-  /// with equal timestamps (lower seq fires first).
-  static uint64_t SeqOfEvent(EventId id) { return id >> kSlotBits; }
 
 #ifdef AMR_AUDIT
   /// Test-only corruption hooks for the negative audit tests

@@ -1,8 +1,8 @@
 // Async engine tests: DES determinism, bounded-staleness semantics (0 =
 // synchronized rounds), convergence of async PageRank/SSSP to the serial
 // oracles, termination-proof and residual-accounting edge cases, the
-// generalized update payload, and the virtual-time win over the partial-sync
-// baseline.
+// generalized update payload, the calendar far store's bit-identity with the
+// heap, and the virtual-time win over the partial-sync baseline.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -606,6 +606,97 @@ TEST(AsyncPageRank, DeterministicAcrossRuns) {
   EXPECT_EQ(a_stats.update_batches, b_stats.update_batches);
   EXPECT_EQ(a_stats.bytes_sent, b_stats.bytes_sent);
   EXPECT_EQ(a_stats.token_circuits, b_stats.token_circuits);
+}
+
+void ExpectWorkerStatsIdentical(const async::WorkerStats& a,
+                                const async::WorkerStats& b) {
+#define AMR_EXPECT_SAME(field) EXPECT_EQ(a.field, b.field) << #field
+  AMR_EXPECT_SAME(iterations);
+  AMR_EXPECT_SAME(ops);
+  AMR_EXPECT_SAME(merge_ops);
+  AMR_EXPECT_SAME(batches_sent);
+  AMR_EXPECT_SAME(batches_received);
+  AMR_EXPECT_SAME(records_sent);
+  AMR_EXPECT_SAME(coalesced_batches);
+  AMR_EXPECT_SAME(coalesced_bytes_saved);
+  AMR_EXPECT_SAME(restarts);
+  AMR_EXPECT_SAME(flow_drops);
+  AMR_EXPECT_SAME(batch_retries);
+  AMR_EXPECT_SAME(retry_backoff_seconds);
+  AMR_EXPECT_SAME(batches_abandoned);
+  AMR_EXPECT_SAME(checkpoints);
+  AMR_EXPECT_SAME(checkpoint_bytes);
+  AMR_EXPECT_SAME(last_residual);
+  AMR_EXPECT_SAME(residual_known);
+#undef AMR_EXPECT_SAME
+}
+
+// Field-by-field EXACT equality (doubles compared with ==): the calendar far
+// store promises bit-identity with the heap, not approximation.
+void ExpectResultsIdentical(const async::AsyncResult& a,
+                            const async::AsyncResult& b) {
+#define AMR_EXPECT_SAME(field) EXPECT_EQ(a.field, b.field) << #field
+  AMR_EXPECT_SAME(converged);
+  AMR_EXPECT_SAME(start_seconds);
+  AMR_EXPECT_SAME(end_seconds);
+  AMR_EXPECT_SAME(total_iterations);
+  AMR_EXPECT_SAME(total_ops);
+  AMR_EXPECT_SAME(total_merge_ops);
+  AMR_EXPECT_SAME(update_batches);
+  AMR_EXPECT_SAME(update_records);
+  AMR_EXPECT_SAME(bytes_sent);
+  AMR_EXPECT_SAME(coalesced_batches);
+  AMR_EXPECT_SAME(coalesced_bytes_saved);
+  AMR_EXPECT_SAME(token_circuits);
+  AMR_EXPECT_SAME(worker_restarts);
+  AMR_EXPECT_SAME(checkpoints_written);
+  AMR_EXPECT_SAME(checkpoint_bytes);
+  AMR_EXPECT_SAME(checkpoint_write_seconds);
+  AMR_EXPECT_SAME(recovery_seconds);
+  AMR_EXPECT_SAME(flow_drops);
+  AMR_EXPECT_SAME(batch_retries);
+  AMR_EXPECT_SAME(retry_backoff_seconds);
+  AMR_EXPECT_SAME(batches_abandoned);
+  AMR_EXPECT_SAME(peers_suspected);
+  AMR_EXPECT_SAME(partition_heal_reannouncements);
+  AMR_EXPECT_SAME(checkpoint_corruptions_detected);
+  AMR_EXPECT_SAME(final_residual);
+  AMR_EXPECT_SAME(residual_known);
+  AMR_EXPECT_SAME(staleness_samples);
+  AMR_EXPECT_SAME(staleness_p50);
+  AMR_EXPECT_SAME(staleness_p95);
+  AMR_EXPECT_SAME(staleness_min);
+  AMR_EXPECT_SAME(staleness_max);
+#undef AMR_EXPECT_SAME
+  ASSERT_EQ(a.workers.size(), b.workers.size());
+  for (size_t i = 0; i < a.workers.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "worker " << i);
+    ExpectWorkerStatsIdentical(a.workers[i], b.workers[i]);
+  }
+}
+
+TEST(AsyncPageRank, CalendarQueueBitIdenticalToHeap) {
+  // End-to-end pin for the calendar far store: a whole async run on the
+  // noisy spec (stragglers and jitter draw from the shared cluster RNG, so
+  // any reordering of events would shift the stream) must reproduce the
+  // heap run exactly.
+  const auto g = TestGraph(1200, 7);
+  const auto part = graph::MultilevelPartition(g, 8);
+  auto run = [&](sim::QueueMode mode, async::AsyncResult* stats) {
+    apps::PageRankConfig config;
+    auto spec = cluster::ClusterSpec::Ec2Large8();
+    spec.queue_mode = mode;
+    cluster::SimCluster sim(spec);
+    return apps::AsyncPageRank(sim, g, part, config, async::kUnboundedStaleness,
+                               stats);
+  };
+  async::AsyncResult heap_stats, calendar_stats;
+  const auto heap = run(sim::QueueMode::kHeap, &heap_stats);
+  const auto calendar = run(sim::QueueMode::kCalendar, &calendar_stats);
+  EXPECT_TRUE(heap.converged);
+  EXPECT_EQ(heap.ranks, calendar.ranks);
+  EXPECT_EQ(heap.converged, calendar.converged);
+  ExpectResultsIdentical(heap_stats, calendar_stats);
 }
 
 TEST(AsyncPageRank, StalenessZeroMatchesPartialSyncFixedPoint) {

@@ -1,9 +1,12 @@
-// Unit tests: discrete-event kernel — ordering, determinism, cancellation.
+// Unit tests: discrete-event kernel — ordering, determinism, cancellation,
+// and the calendar far store pinned differentially against the heap.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/event_queue.hpp"
 
 namespace asyncmr::sim {
@@ -378,78 +381,96 @@ TEST(EventQueue, RescheduleToNowUsesImmediatePath) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-// --- Park/Activate (sharded-DES deferred scheduling) -------------------------
+// --- calendar far store vs heap (differential) ------------------------------
 
-TEST(EventQueue, ParkedEventKeepsItsAllocationSeq) {
-  // The sharded engine parks a completion at BeginCompute and activates it
-  // later; the tie-break seq must be the PARK-time one, so at an equal
-  // timestamp it fires between its allocation-order neighbours, exactly
-  // where serial mode's ScheduleAfter would have put it.
-  EventQueue q;
-  std::vector<int> order;
-  q.Schedule(1.0, [&] { order.push_back(1); });
-  const EventId parked = q.Park([&] { order.push_back(2); });
-  q.Schedule(1.0, [&] { order.push_back(3); });
-  EXPECT_TRUE(q.Activate(parked, 1.0));
+using Trace = std::vector<std::pair<double, int>>;
+
+// A self-driving churn workload exercising every queue operation the
+// simulation uses: far inserts at mixed horizons, zero-delay immediates,
+// Cancel and Reschedule. All randomness comes from a fixed Rng seed, so both
+// modes execute the same op script as long as their firing orders agree —
+// any divergence shows up in the recorded trace.
+Trace RunChurnScript(QueueMode mode) {
+  EventQueue q(mode);
+  Trace trace;
+  Rng rng(123);
+  std::vector<EventId> open;
+  int tag = 0;
+  int rounds = 0;
+  std::function<void()> driver = [&] {
+    // A burst of future events spanning several calendar bucket widths.
+    for (int i = 0; i < 6; ++i) {
+      const int t = tag++;
+      open.push_back(q.Schedule(q.now() + rng.NextDouble(0.0, 12.0),
+                                [&trace, &q, t] { trace.emplace_back(q.now(), t); }));
+    }
+    // Zero-delay events ride the immediate FIFO.
+    for (int i = 0; i < 2; ++i) {
+      const int t = tag++;
+      q.ScheduleAfter(0.0, [&trace, &q, t] { trace.emplace_back(q.now(), t); });
+    }
+    // Cancel/reschedule churn over the open set (ids may already be stale —
+    // both modes must agree on the outcome either way).
+    if (open.size() > 8) {
+      q.Cancel(open[open.size() / 2]);
+      const EventId nid = q.Reschedule(open[open.size() / 3],
+                                       q.now() + rng.NextDouble(0.0, 6.0));
+      if (nid != 0) open[open.size() / 3] = nid;
+    }
+    if (++rounds < 60) q.ScheduleAfter(rng.NextDouble(0.01, 1.5), driver);
+  };
+  q.ScheduleAfter(0.0, driver);
   q.RunUntilEmpty();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, ParkedEventIsPendingButNotRunnable) {
-  EventQueue q;
-  const EventId parked = q.Park([] {});
-  EXPECT_EQ(q.pending(), 1u);
-  EXPECT_FALSE(q.RunOne());  // nothing fireable until activation
-  EXPECT_TRUE(q.Activate(parked, 2.5));
-  EXPECT_TRUE(q.RunOne());
-  EXPECT_DOUBLE_EQ(q.now(), 2.5);
-  EXPECT_EQ(q.fired_count(), 1u);
-}
-
-TEST(EventQueue, CancelledParkedEventCannotBeActivated) {
-  EventQueue q;
-  int fired = 0;
-  const EventId parked = q.Park([&] { ++fired; });
-  EXPECT_TRUE(q.Cancel(parked));
-  EXPECT_FALSE(q.Activate(parked, 1.0));
-  q.RunUntilEmpty();
-  EXPECT_EQ(fired, 0);
   EXPECT_EQ(q.pending(), 0u);
+  return trace;
 }
 
-TEST(EventQueue, PeekNextEventReportsFireableHorizon) {
-  EventQueue q;
-  double at = -1.0;
-  uint64_t seq = 0;
-  EXPECT_FALSE(q.PeekNextEvent(&at, &seq));  // empty
-  q.Park([] {});                             // parked: still nothing fireable
-  EXPECT_FALSE(q.PeekNextEvent(&at, &seq));
-  q.Schedule(4.0, [] {});
-  q.Schedule(2.0, [] {});
-  ASSERT_TRUE(q.PeekNextEvent(&at, &seq));
-  EXPECT_DOUBLE_EQ(at, 2.0);
-  q.RunOne();
-  ASSERT_TRUE(q.PeekNextEvent(&at, &seq));
-  EXPECT_DOUBLE_EQ(at, 4.0);
+TEST(CalendarQueue, ChurnScriptMatchesHeapByteForByte) {
+  const Trace heap = RunChurnScript(QueueMode::kHeap);
+  const Trace cal = RunChurnScript(QueueMode::kCalendar);
+  ASSERT_EQ(heap.size(), cal.size());
+  EXPECT_EQ(heap, cal);
 }
 
-TEST(EventQueue, PeekNextEventSeqBreaksTimestampTies) {
-  // DriveSharded compares (lb_time, parked_seq) against (t_next, seq_next)
-  // lexicographically; the reported seq must be the FIFO tie-break of the
-  // head event, not just any event at that time.
-  EventQueue q;
-  q.Schedule(3.0, [] {});
-  const EventId parked = q.Park([] {});
-  q.Schedule(3.0, [] {});
-  double at = 0.0;
-  uint64_t seq = 0;
-  ASSERT_TRUE(q.PeekNextEvent(&at, &seq));
-  EXPECT_DOUBLE_EQ(at, 3.0);
-  EXPECT_LT(seq, EventQueue::SeqOfEvent(parked));
-  EXPECT_TRUE(q.Activate(parked, 2.0));
-  ASSERT_TRUE(q.PeekNextEvent(&at, &seq));
-  EXPECT_DOUBLE_EQ(at, 2.0);
-  EXPECT_EQ(seq, EventQueue::SeqOfEvent(parked));
+TEST(CalendarQueue, OneBucketPileupKeepsFifoOrder) {
+  // Pathological distribution: every event at the same timestamp lands in a
+  // single calendar bucket. The sorted-bucket insert degrades to O(n) per op
+  // but the FIFO tie-break must survive, including interleaved cancels.
+  auto run = [](QueueMode mode) {
+    EventQueue q(mode);
+    std::vector<int> order;
+    std::vector<EventId> ids;
+    for (int i = 0; i < 2000; ++i) {
+      ids.push_back(q.Schedule(7.0, [&order, i] { order.push_back(i); }));
+    }
+    for (int i = 0; i < 2000; i += 7) q.Cancel(ids[i]);
+    q.RunUntilEmpty();
+    return order;
+  };
+  EXPECT_EQ(run(QueueMode::kHeap), run(QueueMode::kCalendar));
+}
+
+TEST(CalendarQueue, WidthResizeCyclesPreserveOrder) {
+  // Drain-while-inserting across horizons that force the calendar through
+  // grow and shrink rebuilds; interleave wide and dense timestamp regimes so
+  // the width recomputation actually changes.
+  auto run = [](QueueMode mode) {
+    EventQueue q(mode);
+    Trace trace;
+    for (int i = 0; i < 300; ++i) {
+      const double at = (i % 3 == 0) ? i * 1000.0 : 1.0 + i * 1e-6;
+      q.Schedule(at, [&trace, &q, i] { trace.emplace_back(q.now(), i); });
+    }
+    // Drain halfway, then refill densely to trigger a shrink then a grow.
+    for (int i = 0; i < 150; ++i) q.RunOne();
+    for (int i = 300; i < 700; ++i) {
+      q.Schedule(q.now() + 1e-3 + i * 1e-7,
+                 [&trace, &q, i] { trace.emplace_back(q.now(), i); });
+    }
+    q.RunUntilEmpty();
+    return trace;
+  };
+  EXPECT_EQ(run(QueueMode::kHeap), run(QueueMode::kCalendar));
 }
 
 }  // namespace
