@@ -244,8 +244,8 @@ void AsyncEngine::FinishCompute(uint32_t p, uint32_t epoch, uint64_t ops,
   }
   cluster_.ReleaseSlot(w.node, config_.slot_type);
   ++w.iterations;
-  w.ops += ops;
-  w.merge_ops += merge_ops;
+  w.stats.ops += ops;
+  w.stats.merge_ops += merge_ops;
   w.ledger.last_residual = residual;
   w.ledger.dirty = true;
   if (config_.tuning.obs.trace != nullptr) {
@@ -360,10 +360,8 @@ void AsyncEngine::EmitBatch(uint32_t p, size_t peer_index, UpdateBatch batch,
       link.pending.records += batch.records;
       link.pending_clock = clock;
       link.has_pending = true;
-      ++w.coalesced_batches;
-      ++total_coalesced_;
-      w.coalesced_bytes_saved += config_.update_envelope_bytes;
-      total_coalesced_bytes_saved_ += config_.update_envelope_bytes;
+      ++w.stats.coalesced_batches;
+      w.stats.coalesced_bytes_saved += config_.update_envelope_bytes;
       return;
     }
     link.in_flight = true;
@@ -374,8 +372,7 @@ void AsyncEngine::EmitBatch(uint32_t p, size_t peer_index, UpdateBatch batch,
 void AsyncEngine::LaunchBatch(uint32_t p, size_t peer_index, UpdateBatch batch,
                               uint32_t clock) {
   Worker& w = workers_[p];
-  w.records_sent += batch.records;
-  total_records_ += batch.records;
+  w.stats.records_sent += batch.records;
   auto payload = std::make_shared<UpdateBatch>(std::move(batch));
   OpenFlow(p, peer_index, std::move(payload), clock, w.epoch, /*attempt=*/0);
 }
@@ -390,9 +387,8 @@ void AsyncEngine::OpenFlow(uint32_t p, size_t peer_index,
   // OnFlowFailed) — so the Safra sums always balance, retries included.
   ++w.ledger.batches_sent;
   AMR_IF_AUDIT(++audit_batch_flows_in_flight_;);
-  ++total_batches_;
   const uint64_t bytes = config_.update_envelope_bytes + payload->payload.size();
-  total_bytes_ += bytes;
+  result_.bytes_sent += bytes;
   uint64_t fid = 0;
   if (config_.tuning.obs.trace != nullptr) {
     // Arrow tail at the sender, bound to the id Transfer is about to assign
@@ -424,7 +420,7 @@ void AsyncEngine::OnFlowFailed(uint32_t p, size_t peer_index,
   // node runtime acks batches the process never applied.
   ++w.ledger.batches_received;
   AMR_IF_AUDIT(--audit_batch_flows_in_flight_;);
-  ++w.flow_drops;
+  ++w.stats.flow_drops;
   w.ledger.dirty = true;
   if (finished_) return;
   if (w.epoch != epoch) return;  // dead incarnation; its restore re-announces
@@ -437,8 +433,8 @@ void AsyncEngine::OnFlowFailed(uint32_t p, size_t peer_index,
         t.retry_backoff_base_s * std::pow(2.0, static_cast<double>(attempt)),
         t.retry_backoff_max_s);
     backoff *= 1.0 + t.retry_jitter_frac * cluster_.rng().NextDouble();
-    ++w.batch_retries;
-    w.retry_backoff_seconds += backoff;
+    ++w.stats.batch_retries;
+    w.stats.retry_backoff_seconds += backoff;
     ++w.pending_retries;
     if (config_.tuning.obs.trace != nullptr) {
       config_.tuning.obs.trace->Instant(
@@ -460,7 +456,7 @@ void AsyncEngine::OnFlowFailed(uint32_t p, size_t peer_index,
   // Out of retries: drop the payload and repair by force-re-announcing
   // everything q gates on — the same path a peer restart uses, so the lost
   // records are superseded rather than resent.
-  ++w.batches_abandoned;
+  ++w.stats.batches_abandoned;
   if (config_.tuning.obs.trace != nullptr) {
     config_.tuning.obs.trace->Instant("batch-abandoned", "fault",
                                       obs::kPidWorkers, p, cluster_.now(),
@@ -496,7 +492,7 @@ void AsyncEngine::OnPartitionHealed(size_t window_index) {
       if (!topo.WindowSevers(window, workers_[p].node, workers_[q].node)) {
         continue;
       }
-      ++heal_reannouncements_;
+      ++result_.partition_heal_reannouncements;
       if (config_.tuning.obs.trace != nullptr) {
         config_.tuning.obs.trace->Instant("heal-reannounce", "fault",
                                           obs::kPidWorkers, p, cluster_.now(),
@@ -560,7 +556,7 @@ void AsyncEngine::SuspectBlockingPeers(uint32_t p) {
     if (static_cast<int64_t>(clocks[i]) >= need) continue;
     suspected_[p][i] = 1;
     ++suspected_count_[p];
-    ++peers_suspected_total_;
+    ++result_.peers_suspected;
     any = true;
     if (config_.tuning.obs.trace != nullptr) {
       config_.tuning.obs.trace->Instant(
@@ -615,8 +611,8 @@ void AsyncEngine::TakeCheckpoint(uint32_t p, bool free_write) {
   // corruption knob can touch it): see AuditCheckpointImage.
   AMR_IF_AUDIT(AuditCheckpointImage(encoded);)
   if (!free_write) {
-    ++w.checkpoints;
-    w.checkpoint_bytes += encoded.size();
+    ++w.stats.checkpoints;
+    w.stats.checkpoint_bytes += encoded.size();
     if (config_.tuning.obs.trace != nullptr) {
       config_.tuning.obs.trace->Instant(
           "checkpoint", "ckpt", obs::kPidWorkers, p, cluster_.now(),
@@ -644,7 +640,7 @@ void AsyncEngine::ScheduleNextCrash(uint32_t p) {
 void AsyncEngine::FenceWorker(uint32_t p) {
   Worker& w = workers_[p];
   ++w.epoch;  // in-flight batches/grants/completions of the old epoch die
-  ++total_restarts_;
+  ++result_.worker_restarts;
   if (w.phase == WorkerPhase::kComputing) {
     // Process death frees the slot immediately; the scheduled FinishCompute
     // sees the epoch bump and drops out. A kWaitingSlot grant returns its
@@ -695,7 +691,7 @@ void AsyncEngine::CrashWorker(uint32_t p, bool node_failure) {
       << "writes a free initial snapshot at Run)";
   const double restart_delay = cluster_.spec().worker_restart_delay_s;
   const double delay = restart_delay + checkpoints_.ReadSeconds(*snapshot);
-  recovery_seconds_ += delay;
+  result_.recovery_seconds += delay;
   if (config_.tuning.obs.trace != nullptr) {
     // The outage is future-dated at crash time: its length is already
     // deterministic here, and this way a run that terminates mid-recovery
@@ -748,10 +744,10 @@ void AsyncEngine::RestoreWorker(uint32_t p, uint32_t epoch) {
   AMR_CHECK(encoded != nullptr);
 
   const double downtime = cluster_.now() - w.down_since;
-  w.downtime_seconds += downtime;
+  w.stats.downtime_seconds += downtime;
   downtime_.Add(downtime);
-  downtime_total_ += downtime;
-  ++recoveries_;
+  result_.downtime_seconds += downtime;
+  ++result_.recoveries;
 
   RestoreFromImage(p, *encoded);
 }
@@ -850,7 +846,7 @@ void AsyncEngine::ScheduleNextRackCrash(uint32_t rack) {
 void AsyncEngine::OnNodeCrash(net::NodeId node) {
   const double now = cluster_.now();
   node_down_until_[node] = now + cluster_.spec().node_repair_s;
-  ++node_crashes_;
+  ++result_.node_crashes;
   AMR_IF_AUDIT({
     // Node-ledger contract: the cached resident count this crash is about to
     // act on must match a fresh placement scan (see AuditNodeLedger).
@@ -878,7 +874,7 @@ void AsyncEngine::OnNodeCrash(net::NodeId node) {
 }
 
 void AsyncEngine::OnRackCrash(uint32_t rack) {
-  ++rack_crash_episodes_;
+  ++result_.rack_crash_episodes;
   const uint32_t npr = cluster_.network().topology().config().nodes_per_rack;
   const uint32_t n = cluster_.spec().num_nodes();
   if (config_.tuning.obs.trace != nullptr) {
@@ -1003,7 +999,7 @@ void AsyncEngine::LaunchBackup(uint32_t p) {
   // COPY the image: the store prunes and quarantines slots underneath any
   // long-lived pointer, and the straggler may checkpoint again meanwhile.
   b.image = *snapshot;
-  ++speculative_launches_;
+  ++result_.speculative_launches;
   if (config_.tuning.obs.trace != nullptr) {
     config_.tuning.obs.trace->Instant(
         "backup-launch", "spec", obs::kPidWorkers, p, cluster_.now(),
@@ -1033,7 +1029,7 @@ void AsyncEngine::OnBackupReady(uint32_t p, uint32_t seq) {
       w.epoch != b.launch_epoch || w.iterations > b.launch_iters;
   if (straggler_progressed || w.phase == WorkerPhase::kDown ||
       NodeDownNow(b.target)) {
-    ++speculative_losses_;
+    ++result_.speculative_losses;
     if (config_.tuning.obs.trace != nullptr) {
       config_.tuning.obs.trace->Instant("backup-lost", "spec", obs::kPidWorkers,
                                         p, cluster_.now());
@@ -1044,7 +1040,7 @@ void AsyncEngine::OnBackupReady(uint32_t p, uint32_t seq) {
   // The backup wins: fence the straggler out of the epoch (its in-flight
   // batches and events die as dead-epoch, exactly like a crash) and bring
   // the replica up in its place — no downtime, the replacement is live now.
-  ++speculative_wins_;
+  ++result_.speculative_wins;
   if (config_.tuning.obs.trace != nullptr) {
     config_.tuning.obs.trace->Instant(
         "backup-win", "spec", obs::kPidWorkers, p, cluster_.now(),
@@ -1140,38 +1136,38 @@ void AsyncEngine::InstallObservability() {
   });
   probe("net.active_flows",
         [this] { return static_cast<double>(cluster_.network().active_flows()); });
-  probe("restarts", [this] { return static_cast<double>(total_restarts_); });
-  // Robustness counters (satellite: surfaced in the MetricsRegistry). Flat
-  // sums over workers — cheap relative to the phase scans above.
-  probe("flow_drops", [this] {
-    uint64_t n = 0;
-    for (const Worker& w : workers_) n += w.flow_drops;
-    return static_cast<double>(n);
-  });
-  probe("batch_retries", [this] {
-    uint64_t n = 0;
-    for (const Worker& w : workers_) n += w.batch_retries;
-    return static_cast<double>(n);
-  });
-  probe("retry_backoff_seconds", [this] {
-    double s = 0.0;
-    for (const Worker& w : workers_) s += w.retry_backoff_seconds;
-    return s;
+  probe("restarts",
+        [this] { return static_cast<double>(result_.worker_restarts); });
+  // Robustness counters: flat sums over workers, in the same worker order
+  // Run() reduces them in — cheap relative to the phase scans above.
+  auto worker_sum = [this](auto WorkerStats::*field) {
+    double n = 0.0;
+    for (const Worker& w : workers_) n += static_cast<double>(w.stats.*field);
+    return n;
+  };
+  probe("flow_drops",
+        [worker_sum] { return worker_sum(&WorkerStats::flow_drops); });
+  probe("batch_retries",
+        [worker_sum] { return worker_sum(&WorkerStats::batch_retries); });
+  probe("retry_backoff_seconds", [worker_sum] {
+    return worker_sum(&WorkerStats::retry_backoff_seconds);
   });
   probe("peers_suspected",
-        [this] { return static_cast<double>(peers_suspected_total_); });
-  probe("partition_heal_reannouncements",
-        [this] { return static_cast<double>(heal_reannouncements_); });
-  // Recovery gauge family (satellite: node-level failure-domain telemetry).
+        [this] { return static_cast<double>(result_.peers_suspected); });
+  probe("partition_heal_reannouncements", [this] {
+    return static_cast<double>(result_.partition_heal_reannouncements);
+  });
+  // Recovery gauge family (node-level failure-domain telemetry).
   probe("recovery.recoveries",
-        [this] { return static_cast<double>(recoveries_); });
-  probe("recovery.downtime_seconds", [this] { return downtime_total_; });
+        [this] { return static_cast<double>(result_.recoveries); });
+  probe("recovery.downtime_seconds",
+        [this] { return result_.downtime_seconds; });
   probe("recovery.node_crashes",
-        [this] { return static_cast<double>(node_crashes_); });
+        [this] { return static_cast<double>(result_.node_crashes); });
   probe("recovery.token_regenerations",
-        [this] { return static_cast<double>(token_regenerations_); });
+        [this] { return static_cast<double>(result_.token_regenerations); });
   probe("recovery.speculative_wins",
-        [this] { return static_cast<double>(speculative_wins_); });
+        [this] { return static_cast<double>(result_.speculative_wins); });
   for (uint32_t p = 0; p < num_partitions_; ++p) {
     probe("worker.skew.p" + std::to_string(p), [this, p] {
       return static_cast<double>(workers_[p].iterations) -
@@ -1207,7 +1203,7 @@ void AsyncEngine::RegisterTokenHandlers() {
           if (NodeDownNow(node)) {
             // The token arrived at a dead machine: it dies with it. The
             // initiator's regeneration timer is what recovers from this.
-            ++tokens_lost_;
+            ++result_.tokens_lost;
             return serde::Buffer{};
           }
           HandleTokenAt(token.value().position, token.value());
@@ -1228,7 +1224,7 @@ void AsyncEngine::ArmTokenRegenTimer() {
   // the timer never exists, so the event timeline is untouched and stored
   // trajectories stay bit-identical.
   if (!TokenCanBeLost()) return;
-  const uint32_t gen = token_circuits_;
+  const uint32_t gen = result_.token_circuits;
   // Exponential backoff on consecutive regenerations: if the timeout is set
   // shorter than an honest slow circuit, doubling it guarantees the timer
   // eventually outwaits the circuit instead of livelocking the control plane.
@@ -1239,19 +1235,20 @@ void AsyncEngine::ArmTokenRegenTimer() {
     if (finished_) return;
     // The generation moved on (circuit completed, or an earlier timer already
     // regenerated): this timer is stale, let it die.
-    if (token_circuits_ != gen) return;
-    ++token_regenerations_;
+    if (result_.token_circuits != gen) return;
+    ++result_.token_regenerations;
     ++consecutive_regens_;
     // Abandon the stranded generation: bumping the live counter makes every
     // handler drop the old token if it ever limps home.
-    ++token_circuits_;
+    ++result_.token_circuits;
     if (config_.tuning.obs.trace != nullptr) {
       config_.tuning.obs.trace->Instant(
           "token-regen", "token", obs::kPidControl, 0, cluster_.now(),
-          {"gen", static_cast<double>(token_circuits_)});
+          {"gen", static_cast<double>(result_.token_circuits)});
     }
     AMR_LOG_DEBUG << "token generation " << gen << " presumed lost at t="
-                  << cluster_.now() << "; regenerating as " << token_circuits_;
+                  << cluster_.now() << "; regenerating as "
+                  << result_.token_circuits;
     StartCircuit();
   });
 }
@@ -1259,7 +1256,7 @@ void AsyncEngine::ArmTokenRegenTimer() {
 void AsyncEngine::StartCircuit() {
   circuit_start_time_ = cluster_.now();
   ProgressToken token;
-  token.circuit = token_circuits_;
+  token.circuit = result_.token_circuits;
   token.position = 0;
   // The on_failed callback opts the token's request leg into the network's
   // loss/partition fault model: control traffic traverses the same faulty
@@ -1267,18 +1264,19 @@ void AsyncEngine::StartCircuit() {
   // counting it here just makes the loss observable.
   cluster_.rpc().Call(workers_[num_partitions_ - 1].node, workers_[0].node,
                       TokenMethod(), serde::Encode(token),
-                      [](Result<serde::Buffer>) {}, [this] { ++tokens_lost_; });
+                      [](Result<serde::Buffer>) {},
+                      [this] { ++result_.tokens_lost; });
   ArmTokenRegenTimer();
 }
 
 void AsyncEngine::HandleTokenAt(uint32_t position, ProgressToken token) {
   if (finished_) return;
-  if (token.circuit != token_circuits_) {
+  if (token.circuit != result_.token_circuits) {
     // A regenerated circuit has superseded this token's generation (its
     // circuit id doubles as one): a stranded token that finally escaped a
     // partition must not finish a circuit the initiator already wrote off —
     // two live tokens could otherwise double-complete.
-    ++stale_tokens_dropped_;
+    ++result_.stale_tokens_dropped;
     return;
   }
   AMR_IF_AUDIT({
@@ -1319,7 +1317,7 @@ void AsyncEngine::HandleTokenAt(uint32_t position, ProgressToken token) {
     token.position = position + 1;
     cluster_.rpc().Call(w.node, workers_[token.position].node, TokenMethod(),
                         serde::Encode(token), [](Result<serde::Buffer>) {},
-                        [this] { ++tokens_lost_; });
+                        [this] { ++result_.tokens_lost; });
   } else {
     CompleteCircuit(token);
   }
@@ -1329,22 +1327,23 @@ void AsyncEngine::CompleteCircuit(const ProgressToken& token) {
   AMR_IF_AUDIT({
     // Generation contract: only the live generation can complete a circuit —
     // the HandleTokenAt drop must have filtered everything stale.
-    AuditTokenGeneration(token.circuit, token_circuits_);
+    AuditTokenGeneration(token.circuit, result_.token_circuits);
   });
   // An honest circuit came home: reset the regeneration backoff.
   consecutive_regens_ = 0;
-  ++token_circuits_;
+  ++result_.token_circuits;
   // A token that observed fewer restarts than have happened visited some
   // worker before it crashed: that quiescence observation is stale, so the
   // circuit is tainted and re-circulates (restart-count monotonicity makes
   // this exact — epochs only grow, and a crash after the visit is precisely
   // a sum mismatch at completion).
   const bool proved =
-      token.ProvesTermination() && token.restarts == total_restarts_;
+      token.ProvesTermination() && token.restarts == result_.worker_restarts;
   if (config_.tuning.obs.trace != nullptr) {
     config_.tuning.obs.trace->Span(
         "token-circuit", "token", obs::kPidControl, 0, circuit_start_time_,
-        cluster_.now(), {"circuit", static_cast<double>(token_circuits_ - 1)},
+        cluster_.now(),
+        {"circuit", static_cast<double>(result_.token_circuits - 1)},
         {"proved", proved ? 1.0 : 0.0});
   }
   if (proved) {
@@ -1375,10 +1374,10 @@ void AsyncEngine::Finish(bool converged, double residual, bool residual_known) {
                 << " residual=" << residual
                 << " residual_known=" << residual_known;
   finished_ = true;
-  converged_ = converged;
-  final_residual_ = residual;
-  final_residual_known_ = residual_known;
-  end_time_ = cluster_.now();
+  result_.converged = converged;
+  result_.final_residual = residual;
+  result_.residual_known = residual_known;
+  result_.end_seconds = cluster_.now();
 }
 
 AsyncResult AsyncEngine::Run() {
@@ -1424,7 +1423,7 @@ AsyncResult AsyncEngine::Run() {
       TakeCheckpoint(p, /*free_write=*/true);
     }
   }
-  start_time_ = cluster_.now();
+  result_.start_seconds = cluster_.now();
   if (config_.tuning.obs.metrics != nullptr) {
     config_.tuning.obs.metrics->Sample(cluster_.now());  // t = start row
     ScheduleMetricsSample();
@@ -1462,89 +1461,57 @@ AsyncResult AsyncEngine::Run() {
     config_.tuning.obs.metrics->Sample(cluster_.now());  // end-of-run row
   }
 
-  AsyncResult result;
-  result.converged = converged_;
-  result.start_seconds = start_time_;
-  result.end_seconds = end_time_;
-  result.token_circuits = token_circuits_;
-  result.final_residual = final_residual_;
-  result.residual_known = final_residual_known_;
-  result.update_batches = total_batches_;
-  result.update_records = total_records_;
-  result.bytes_sent = total_bytes_;
-  result.coalesced_batches = total_coalesced_;
-  result.coalesced_bytes_saved = total_coalesced_bytes_saved_;
-  result.worker_restarts = total_restarts_;
-  result.checkpoints_written =
-      static_cast<uint32_t>(checkpoints_.stats().checkpoints_written);
-  result.checkpoint_bytes = checkpoints_.stats().bytes_written;
-  result.checkpoint_write_seconds = checkpoints_.stats().write_seconds;
-  result.recovery_seconds = recovery_seconds_;
-  result.peers_suspected = peers_suspected_total_;
-  result.partition_heal_reannouncements = heal_reannouncements_;
-  result.checkpoint_corruptions_detected =
-      checkpoints_.stats().corruptions_detected;
-  result.node_crashes = node_crashes_;
-  result.rack_crash_episodes = rack_crash_episodes_;
-  result.checkpoint_writes_lost = checkpoints_.stats().writes_lost;
-  result.tokens_lost = tokens_lost_;
-  result.token_regenerations = token_regenerations_;
-  result.stale_tokens_dropped = stale_tokens_dropped_;
-  result.speculative_launches = speculative_launches_;
-  result.speculative_wins = speculative_wins_;
-  result.speculative_losses = speculative_losses_;
-  result.recoveries = recoveries_;
-  result.downtime_seconds = downtime_total_;
-  result.mttr_seconds =
-      recoveries_ > 0 ? downtime_total_ / static_cast<double>(recoveries_) : 0.0;
-  if (recoveries_ > 0) {
-    result.downtime_p50 = downtime_.Percentile(50);
-    result.downtime_p95 = downtime_.Percentile(95);
-    result.downtime_max = downtime_.max_seen();
+  // Event sites accumulated result_ and each worker's stats in place; what
+  // is left are the fields the checkpoint store owns, the derived
+  // distributions, and the per-worker reductions.
+  const CheckpointStore::Stats& ckpt = checkpoints_.stats();
+  result_.checkpoints_written = static_cast<uint32_t>(ckpt.checkpoints_written);
+  result_.checkpoint_bytes = ckpt.bytes_written;
+  result_.checkpoint_write_seconds = ckpt.write_seconds;
+  result_.checkpoint_corruptions_detected = ckpt.corruptions_detected;
+  result_.checkpoint_writes_lost = ckpt.writes_lost;
+  if (result_.recoveries > 0) {
+    result_.mttr_seconds =
+        result_.downtime_seconds / static_cast<double>(result_.recoveries);
+    result_.downtime_p50 = downtime_.Percentile(50);
+    result_.downtime_p95 = downtime_.Percentile(95);
+    result_.downtime_max = downtime_.max_seen();
   }
   Histogram staleness = MakeStalenessHistogram();
   for (const Histogram& h : staleness_) staleness.Merge(h);
-  result.staleness_samples = staleness.total();
-  result.staleness_p50 = staleness.Percentile(50);
-  result.staleness_p95 = staleness.Percentile(95);
-  result.staleness_min = staleness.min_seen();
-  result.staleness_max = staleness.max_seen();
+  result_.staleness_samples = staleness.total();
+  result_.staleness_p50 = staleness.Percentile(50);
+  result_.staleness_p95 = staleness.Percentile(95);
+  result_.staleness_min = staleness.min_seen();
+  result_.staleness_max = staleness.max_seen();
   if (config_.tuning.obs.metrics != nullptr) {
     config_.tuning.obs.metrics
         ->AddHistogram("staleness_lag", MakeStalenessHistogram())
         ->Merge(staleness);
   }
-  result.workers.reserve(num_partitions_);
-  for (const Worker& w : workers_) {
-    WorkerStats stats;
+  result_.workers.reserve(num_partitions_);
+  for (Worker& w : workers_) {
+    WorkerStats& stats = w.stats;
     stats.iterations = w.iterations;
-    stats.ops = w.ops;
-    stats.merge_ops = w.merge_ops;
     stats.batches_sent = w.ledger.batches_sent;
     stats.batches_received = w.ledger.batches_received;
-    stats.records_sent = w.records_sent;
-    stats.coalesced_batches = w.coalesced_batches;
-    stats.coalesced_bytes_saved = w.coalesced_bytes_saved;
-    stats.flow_drops = w.flow_drops;
-    stats.batch_retries = w.batch_retries;
-    stats.retry_backoff_seconds = w.retry_backoff_seconds;
-    stats.batches_abandoned = w.batches_abandoned;
-    result.flow_drops += w.flow_drops;
-    result.batch_retries += w.batch_retries;
-    result.retry_backoff_seconds += w.retry_backoff_seconds;
-    result.batches_abandoned += w.batches_abandoned;
     stats.restarts = w.epoch;
-    stats.downtime_seconds = w.downtime_seconds;
-    stats.checkpoints = w.checkpoints;
-    stats.checkpoint_bytes = w.checkpoint_bytes;
     stats.residual_known = w.iterations > 0;
     stats.last_residual = stats.residual_known ? w.ledger.last_residual : 0.0;
-    result.workers.push_back(stats);
-    result.total_iterations += w.iterations;
-    result.total_ops += w.ops;
-    result.total_merge_ops += w.merge_ops;
+    result_.total_iterations += stats.iterations;
+    result_.total_ops += stats.ops;
+    result_.total_merge_ops += stats.merge_ops;
+    result_.update_batches += stats.batches_sent;
+    result_.update_records += stats.records_sent;
+    result_.coalesced_batches += stats.coalesced_batches;
+    result_.coalesced_bytes_saved += stats.coalesced_bytes_saved;
+    result_.flow_drops += stats.flow_drops;
+    result_.batch_retries += stats.batch_retries;
+    result_.retry_backoff_seconds += stats.retry_backoff_seconds;
+    result_.batches_abandoned += stats.batches_abandoned;
+    result_.workers.push_back(stats);
   }
-  return result;
+  return std::move(result_);
 }
 
 }  // namespace asyncmr::async

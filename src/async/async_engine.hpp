@@ -335,7 +335,9 @@ struct WorkerStats {
   /// flow, and the envelope bytes that saved (coalesce_batches only).
   uint64_t coalesced_batches = 0;
   uint64_t coalesced_bytes_saved = 0;
-  /// Crash/recovery cycles this worker went through (== final epoch).
+  /// Epoch bumps this worker went through (== final epoch): every crash,
+  /// worker- or node-level, and every speculative fence that replaced it
+  /// with a winning backup.
   uint32_t restarts = 0;
   /// Total virtual time this worker spent dead (crash to restore), across
   /// worker- and node-level failures. Speculative fencing is not downtime —
@@ -357,6 +359,8 @@ struct WorkerStats {
   /// single iteration, so it never measured one.
   double last_residual = 0.0;
   bool residual_known = false;
+
+  bool operator==(const WorkerStats&) const = default;
 };
 
 struct AsyncResult {
@@ -382,7 +386,9 @@ struct AsyncResult {
   /// checkpoint_write_seconds is background DFS time (it bounds snapshot
   /// freshness, not the failure-free critical path); recovery_seconds IS
   /// critical-path virtual time — restart delay + checkpoint reads — paid by
-  /// crashed workers.
+  /// crashed workers. worker_restarts sums WorkerStats::restarts, so it
+  /// counts speculative fences as well as crashes (speculation alone can
+  /// report restarts with zero crashes).
   uint32_t worker_restarts = 0;
   uint32_t checkpoints_written = 0;
   uint64_t checkpoint_bytes = 0;
@@ -449,6 +455,7 @@ struct AsyncResult {
   std::vector<WorkerStats> workers;
 
   double seconds() const { return end_seconds - start_seconds; }
+  bool operator==(const AsyncResult&) const = default;
 };
 
 class AsyncEngine {
@@ -530,11 +537,10 @@ class AsyncEngine {
     /// events belonging to a dead incarnation are recognized and dropped.
     uint32_t epoch = 0;
     ProgressLedger ledger;
-    uint64_t ops = 0;
-    uint64_t merge_ops = 0;
-    uint64_t records_sent = 0;
-    uint32_t checkpoints = 0;
-    uint64_t checkpoint_bytes = 0;
+    /// This worker's counters, accumulated in place. Run() fills the fields
+    /// that mirror protocol state (iterations, restarts, the ledger's batch
+    /// counts and residual) once, at the end.
+    WorkerStats stats;
     /// Records delivered since the last BeginCompute; their merge cost is
     /// charged into the next iteration's virtual time.
     uint64_t unmerged_records = 0;
@@ -559,22 +565,13 @@ class AsyncEngine {
       UpdateBatch pending;
     };
     std::vector<PeerLink> links;
-    uint64_t coalesced_batches = 0;
-    uint64_t coalesced_bytes_saved = 0;
     /// Retries scheduled but not yet re-launched. A worker with a pending
     /// retry is never counted quiescent: the retry WILL put a batch back on
     /// the wire, so a token circuit observing balanced sent == received in
     /// the backoff gap must not prove termination.
     uint32_t pending_retries = 0;
-    /// Robustness counters (see WorkerStats).
-    uint64_t flow_drops = 0;
-    uint64_t batch_retries = 0;
-    double retry_backoff_seconds = 0.0;
-    uint64_t batches_abandoned = 0;
-    /// Recovery telemetry: when the current down span began (valid while
-    /// kDown) and total downtime accumulated across restarts.
+    /// When the current down span began (valid while kDown).
     double down_since = 0.0;
-    double downtime_seconds = 0.0;
   };
 
   void BuildTopology();
@@ -751,11 +748,7 @@ class AsyncEngine {
   /// of currently-suspected peers per partition for a cheap gate fast path.
   std::vector<std::vector<uint8_t>> suspected_;
   std::vector<uint32_t> suspected_count_;
-  uint64_t peers_suspected_total_ = 0;
-  uint64_t heal_reannouncements_ = 0;
   CheckpointStore checkpoints_;
-  uint32_t total_restarts_ = 0;
-  double recovery_seconds_ = 0.0;
 
   // --- node-level failure domains --------------------------------------------
   /// Per node: virtual time until which the node is down (0 = never crashed;
@@ -765,8 +758,6 @@ class AsyncEngine {
   /// Per node: resident workers (the ledger AuditNodeLedger checks against a
   /// scan). Sized with node_down_until_; maintained by MoveWorker.
   std::vector<uint32_t> node_worker_count_;
-  uint32_t node_crashes_ = 0;
-  uint32_t rack_crash_episodes_ = 0;
 
   // --- speculative backup workers --------------------------------------------
   /// At most one incubating backup per partition. `image` is a COPY of the
@@ -784,14 +775,8 @@ class AsyncEngine {
   /// Per worker: iteration clock at the previous speculation scan.
   std::vector<uint32_t> iters_at_scan_;
   double last_scan_time_ = 0.0;
-  uint32_t speculative_launches_ = 0;
-  uint32_t speculative_wins_ = 0;
-  uint32_t speculative_losses_ = 0;
 
   // --- survivable control plane ----------------------------------------------
-  uint64_t tokens_lost_ = 0;
-  uint32_t token_regenerations_ = 0;
-  uint32_t stale_tokens_dropped_ = 0;
   /// Regenerations since the last successfully completed circuit; drives the
   /// regen timer's exponential backoff and resets in CompleteCircuit.
   uint32_t consecutive_regens_ = 0;
@@ -800,8 +785,6 @@ class AsyncEngine {
   /// Downtime per completed crash→restore cycle: exponential buckets from
   /// 50 ms (sub-restart-delay recoveries) to ~27 min of virtual downtime.
   Histogram downtime_{Histogram::Exponential(0.05, 2.0, 16)};
-  double downtime_total_ = 0.0;
-  uint32_t recoveries_ = 0;
 
   /// Per partition: staleness lag at apply time (see AsyncResult). Built at
   /// Run regardless of the obs config.
@@ -817,18 +800,13 @@ class AsyncEngine {
   bool running_ = false;
   bool handlers_registered_ = false;
   bool finished_ = false;
-  bool converged_ = false;
-  double final_residual_ = 0.0;
-  bool final_residual_known_ = true;
-  double start_time_ = 0.0;
-  double end_time_ = 0.0;
-  uint32_t token_circuits_ = 0;
   double circuit_start_time_ = 0.0;  // adaptive backoff: current circuit launch
-  uint64_t total_batches_ = 0;
-  uint64_t total_records_ = 0;
-  uint64_t total_bytes_ = 0;
-  uint64_t total_coalesced_ = 0;
-  uint64_t total_coalesced_bytes_saved_ = 0;
+  /// The run's counters, accumulated in place at their event sites and
+  /// returned by Run(). Mid-run, token_circuits doubles as the live token
+  /// generation and worker_restarts as the termination proof's restart
+  /// count; the per-worker reductions and derived percentiles are filled at
+  /// the end.
+  AsyncResult result_;
 #ifdef AMR_AUDIT
   /// Loss-aware batch flows opened but not yet terminally acked — the
   /// right-hand side of the Safra ledger-balance audit (AuditSafraBalance,

@@ -48,15 +48,6 @@ void AppendDoubles(std::ostream& os, const std::vector<double>& xs) {
 
 }  // namespace
 
-uint64_t* MetricsRegistry::Counter(const std::string& name) {
-  for (auto& c : counters_) {
-    if (c->name == name) return &c->value;
-  }
-  counters_.push_back(std::make_unique<CounterEntry>());
-  counters_.back()->name = name;
-  return &counters_.back()->value;
-}
-
 size_t MetricsRegistry::AddProbe(std::string name, std::function<double()> fn) {
   Probe p;
   p.name = std::move(name);
@@ -112,7 +103,7 @@ double MetricsRegistry::LastValue(const std::string& series) const {
 }
 
 void MetricsRegistry::WriteJson(std::ostream& os) const {
-  os << "{\"schema_version\":1,\"t\":";
+  os << "{\"schema_version\":2,\"t\":";
   AppendDoubles(os, sample_times_);
   os << ",\"series\":{";
   for (size_t i = 0; i < probes_.size(); ++i) {
@@ -121,13 +112,6 @@ void MetricsRegistry::WriteJson(std::ostream& os) const {
     AppendEscaped(os, probes_[i].name);
     os << "\":";
     AppendDoubles(os, probes_[i].values);
-  }
-  os << "},\"counters\":{";
-  for (size_t i = 0; i < counters_.size(); ++i) {
-    if (i) os << ',';
-    os << '"';
-    AppendEscaped(os, counters_[i]->name);
-    os << "\":" << counters_[i]->value;
   }
   os << "},\"histograms\":{";
   for (size_t i = 0; i < histograms_.size(); ++i) {

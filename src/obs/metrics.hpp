@@ -1,10 +1,11 @@
-// MetricsRegistry: named counters, sampled gauges ("probes"), and histograms,
-// serialized as one time-series JSON document.
+// MetricsRegistry: sampled gauges ("probes") and histograms, serialized as one
+// time-series JSON document.
 //
-// Counters are monotonically increasing uint64s bumped inline by instrumented
-// code (the registry hands out a stable pointer). Probes are callbacks read on
-// every Sample(t) — the engine schedules Sample on a configurable virtual-time
-// cadence, so the series axis is DES time, not host time. Histograms are
+// The registry stores no counters of its own: a counter lives in the struct
+// its owner returns (e.g. async::AsyncResult), and a probe reading it is how
+// it reaches the time series. Probes are callbacks read on every Sample(t) —
+// the engine schedules Sample on a configurable virtual-time cadence, so the
+// series axis is DES time, not host time. Histograms are
 // distribution summaries (e.g. staleness lag at update-apply time) recorded
 // whenever the instrumented event fires, independent of the sample cadence.
 //
@@ -16,7 +17,6 @@
 // instrumentation sites: a null registry costs one branch and nothing else.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -30,10 +30,6 @@ namespace asyncmr::obs {
 
 class MetricsRegistry {
  public:
-  /// Get-or-create a counter; the returned pointer stays valid for the
-  /// registry's lifetime (entries are individually heap-allocated).
-  uint64_t* Counter(const std::string& name);
-
   /// Registers a gauge sampled on every Sample() call. Returns a handle for
   /// RemoveProbe. The callback must stay valid until removed.
   size_t AddProbe(std::string name, std::function<double()> fn);
@@ -43,7 +39,8 @@ class MetricsRegistry {
   void RemoveProbe(size_t id);
 
   /// Get-or-create a histogram; `proto` supplies the bucket bounds on first
-  /// registration and is ignored afterwards. Stable pointer, like Counter.
+  /// registration and is ignored afterwards. The returned pointer stays valid
+  /// for the registry's lifetime (entries are individually heap-allocated).
   Histogram* AddHistogram(const std::string& name, Histogram proto);
 
   /// Looks up an existing histogram, or nullptr.
@@ -61,7 +58,7 @@ class MetricsRegistry {
   /// unknown name or an empty series.
   double LastValue(const std::string& series) const;
 
-  /// {"schema_version":..,"t":[..],"series":{..},"counters":{..},
+  /// {"schema_version":2,"t":[..],"series":{..},
   ///  "histograms":{name:{bounds,counts,total,min,max,p50,p95,p99}}}
   /// Deterministic: registration/insertion order, no host state.
   void WriteJson(std::ostream& os) const;
@@ -69,10 +66,6 @@ class MetricsRegistry {
   Status WriteFile(const std::string& path) const;
 
  private:
-  struct CounterEntry {
-    std::string name;
-    uint64_t value = 0;
-  };
   struct Probe {
     std::string name;
     std::function<double()> fn;  // empty once removed
@@ -83,7 +76,6 @@ class MetricsRegistry {
     Histogram hist;
   };
 
-  std::vector<std::unique_ptr<CounterEntry>> counters_;
   std::vector<Probe> probes_;
   std::vector<std::unique_ptr<HistEntry>> histograms_;
   std::vector<double> sample_times_;

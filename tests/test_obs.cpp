@@ -90,15 +90,6 @@ TEST(ValidateJson, RejectsMalformedDocuments) {
 
 // --- MetricsRegistry ---------------------------------------------------------
 
-TEST(MetricsRegistry, CountersAreStableAndNamed) {
-  obs::MetricsRegistry registry;
-  uint64_t* c = registry.Counter("events");
-  *c += 3;
-  EXPECT_EQ(registry.Counter("events"), c);  // get-or-create
-  *registry.Counter("events") += 1;
-  EXPECT_EQ(*c, 4u);
-}
-
 TEST(MetricsRegistry, ProbesSampleInRegistrationOrder) {
   obs::MetricsRegistry registry;
   double base = 0.0;
@@ -136,7 +127,8 @@ TEST(MetricsRegistry, HistogramsSerializeWithSummary) {
   ASSERT_NE(registry.FindHistogram("lag"), nullptr);
   const std::string json = registry.ToJson();
   EXPECT_TRUE(obs::ValidateJson(json).ok()) << json;
-  EXPECT_NE(json.find("\"schema_version\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":2"), std::string::npos);
+  EXPECT_EQ(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"lag\""), std::string::npos);
   EXPECT_NE(json.find("\"p95\""), std::string::npos);
 }
@@ -301,20 +293,45 @@ TEST(TracedAsyncRun, LockstepLagIsTight) {
 }
 
 TEST(TracedAsyncRun, MetricsSeriesTrackEngineGauges) {
+  // Worker and node crashes over lossy links with a partition window, so the
+  // fault counters move.
   obs::MetricsRegistry metrics;
   auto spec = QuietSpec();
-  spec.worker_crash_rate = 0.6;
-  spec.worker_restart_delay_s = 0.5;
+  spec.worker_crash_rate = 0.3;
+  spec.worker_restart_delay_s = 0.3;
+  spec.node_crash_rate = 0.3;
+  spec.node_repair_s = 0.4;
+  spec.topology.flow_loss_prob = 0.1;
+  spec.topology.partitions = {{0.0, 0.2, {1}}};
+  spec.topology.partition_detect_s = 0.05;
   const auto run = RunObserved(spec, async::kUnboundedStaleness, nullptr,
                                &metrics, /*interval_s=*/0.02);
-  ASSERT_GE(run.stats.worker_restarts, 1u);
+  const async::AsyncResult& r = run.stats;
+  ASSERT_GT(r.recoveries, 0u);
+  ASSERT_GT(r.node_crashes, 0u);
+  ASSERT_GT(r.flow_drops, 0u);
   EXPECT_GE(metrics.num_samples(), 2u);
   // The final sample is taken at termination: all clocks settled, nothing
-  // pending, restart count matching the result.
-  EXPECT_DOUBLE_EQ(metrics.LastValue("restarts"), run.stats.worker_restarts);
-  EXPECT_DOUBLE_EQ(metrics.LastValue("pending.records"), 0.0);
-  EXPECT_DOUBLE_EQ(metrics.LastValue("net.active_flows"), 0.0);
-  EXPECT_GT(metrics.LastValue("clock.min"), 0.0);
+  // pending, and every counter probe reading exactly the field the run
+  // returns.
+  auto last = [&](const char* name) { return metrics.LastValue(name); };
+  EXPECT_DOUBLE_EQ(last("pending.records"), 0.0);
+  EXPECT_DOUBLE_EQ(last("net.active_flows"), 0.0);
+  EXPECT_GT(last("clock.min"), 0.0);
+  EXPECT_DOUBLE_EQ(last("restarts"), r.worker_restarts);
+  EXPECT_DOUBLE_EQ(last("flow_drops"), static_cast<double>(r.flow_drops));
+  EXPECT_DOUBLE_EQ(last("batch_retries"), static_cast<double>(r.batch_retries));
+  EXPECT_DOUBLE_EQ(last("retry_backoff_seconds"), r.retry_backoff_seconds);
+  EXPECT_DOUBLE_EQ(last("peers_suspected"),
+                   static_cast<double>(r.peers_suspected));
+  EXPECT_DOUBLE_EQ(last("partition_heal_reannouncements"),
+                   static_cast<double>(r.partition_heal_reannouncements));
+  EXPECT_DOUBLE_EQ(last("recovery.recoveries"), r.recoveries);
+  EXPECT_DOUBLE_EQ(last("recovery.downtime_seconds"), r.downtime_seconds);
+  EXPECT_DOUBLE_EQ(last("recovery.node_crashes"), r.node_crashes);
+  EXPECT_DOUBLE_EQ(last("recovery.token_regenerations"),
+                   r.token_regenerations);
+  EXPECT_DOUBLE_EQ(last("recovery.speculative_wins"), r.speculative_wins);
   EXPECT_TRUE(obs::ValidateJson(metrics.ToJson()).ok());
 }
 
