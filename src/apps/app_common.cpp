@@ -1,6 +1,6 @@
 #include "apps/app_common.hpp"
 
-#include <algorithm>
+#include <bit>
 
 namespace asyncmr::apps {
 
@@ -39,15 +39,19 @@ core::RunTrace AsyncRunTrace(const std::string& name,
 }
 
 std::vector<std::pair<uint32_t, double>> DenseAccumulator::DrainSorted() {
-  std::sort(touched_.begin(), touched_.end());
   std::vector<std::pair<uint32_t, double>> out;
-  out.reserve(touched_.size());
-  for (uint32_t idx : touched_) {
-    out.emplace_back(idx, values_[idx]);
-    touched_flags_[idx] = 0;
-    values_[idx] = 0.0;
+  out.reserve(touched_count_);
+  for (size_t w = 0; out.size() < touched_count_; ++w) {
+    uint64_t word = touched_bits_[w];
+    if (word == 0) continue;
+    touched_bits_[w] = 0;
+    for (; word != 0; word &= word - 1) {
+      const auto idx = static_cast<uint32_t>(w * 64 + std::countr_zero(word));
+      out.emplace_back(idx, values_[idx]);
+      values_[idx] = 0.0;
+    }
   }
-  touched_.clear();
+  touched_count_ = 0;
   return out;
 }
 

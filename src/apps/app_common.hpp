@@ -37,41 +37,43 @@ struct PartitionView {
 };
 
 /// Dense accumulator for pre-combining (target, double) contributions inside
-/// one map task without hashing: O(edges + touched) per use, reusable across
-/// tasks. Touched entries are returned sorted for determinism.
+/// one map task without hashing: O(edges + size/64) per use, reusable across
+/// tasks. Touched entries are tracked in a bitset, so they drain in ascending
+/// index order without a sort.
 class DenseAccumulator {
  public:
   explicit DenseAccumulator(uint32_t size)
-      : values_(size, 0.0), touched_flags_(size, 0) {}
+      : values_(size, 0.0), touched_bits_((size + 63) / 64, 0) {}
 
   void Add(uint32_t index, double value) {
-    if (!touched_flags_[index]) {
-      touched_flags_[index] = 1;
-      touched_.push_back(index);
-    }
+    Touch(index);
     values_[index] += value;
   }
 
   /// Minimum-combine variant (SSSP).
   void Min(uint32_t index, double value) {
-    if (!touched_flags_[index]) {
-      touched_flags_[index] = 1;
-      touched_.push_back(index);
-      values_[index] = value;
-    } else if (value < values_[index]) {
-      values_[index] = value;
-    }
+    if (Touch(index) || value < values_[index]) values_[index] = value;
   }
 
-  /// Sorted (index, value) pairs; clears the accumulator for reuse.
+  /// Ascending (index, value) pairs; clears the accumulator for reuse.
   std::vector<std::pair<uint32_t, double>> DrainSorted();
 
-  size_t touched_count() const { return touched_.size(); }
+  size_t touched_count() const { return touched_count_; }
 
  private:
+  /// Marks index touched; true when it was untouched before.
+  bool Touch(uint32_t index) {
+    uint64_t& word = touched_bits_[index >> 6];
+    const uint64_t bit = uint64_t{1} << (index & 63);
+    if ((word & bit) != 0) return false;
+    word |= bit;
+    ++touched_count_;
+    return true;
+  }
+
   std::vector<double> values_;
-  std::vector<uint8_t> touched_flags_;
-  std::vector<uint32_t> touched_;
+  std::vector<uint64_t> touched_bits_;
+  size_t touched_count_ = 0;
 };
 
 }  // namespace asyncmr::apps

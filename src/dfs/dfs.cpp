@@ -133,7 +133,8 @@ void Dfs::ReadFile(net::NodeId reader, const std::string& path,
 
     for (const BlockMeta& block : meta.value()->blocks) {
       // Walk the preference order; each corrupt replica encountered costs a
-      // wasted disk read (the checksum fails only after the bytes are read).
+      // wasted disk read (in HDFS the checksum fails only after the bytes are
+      // read).
       double failover_delay = 0.0;
       uint32_t attempt = 0;
       std::optional<uint32_t> choice;

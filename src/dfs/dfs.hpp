@@ -5,8 +5,10 @@
 // Section VIII calls out. Costs modeled per block: a namenode metadata
 // round-trip, a replication pipeline of network flows (writer -> r1 -> r2,
 // concurrent, HDFS-style), and disk time at each endpoint. File payloads are
-// real bytes with per-block CRC32s; corrupt replicas fail verification and
-// reads fall over to the next replica, as in HDFS.
+// real bytes with a CRC32 recorded per block. Corruption is modeled, not
+// detected: a replica flagged corrupt (BlockMeta::replica_corrupt) costs the
+// reader a wasted disk read and the read falls over to the next replica, as
+// in HDFS; no read path recomputes or compares the stored checksum.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
-// CRC32 (IEEE, table-driven) for DFS block integrity. The simulated DFS
-// checksums every block on write and verifies on read so injected corruption
-// surfaces as kDataLoss, mirroring HDFS behaviour.
+// CRC32 (IEEE, table-driven, slicing-by-8). The simulated DFS records one per
+// block on write (BlockMeta::checksum), and async checkpoints store one per
+// slot and verify it on restore. DFS reads do not recompute block CRCs:
+// replica corruption is modeled by the namenode's replica_corrupt flags.
 #pragma once
 
 #include <cstdint>

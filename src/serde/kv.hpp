@@ -43,7 +43,7 @@ class KvWriter {
   /// into the accumulation buffer and moves it out — no second copy of the
   /// record payload.
   Buffer Finish() && {
-    uint8_t header[10];
+    uint8_t header[kMaxVarU64Bytes];
     const size_t n = EncodeVarU64(count_, header);
     buffer_.Prepend(header, n);
     return std::move(buffer_);
@@ -72,19 +72,15 @@ class KvReader {
   /// afterwards to distinguish clean EOF from corruption.
   bool Next(K& key, V& value) {
     if (!status_.ok() || read_ >= count_) return false;
-    status_ = Serde<K>::Read(reader_, key);
-    if (!status_.ok()) return false;
-    status_ = Serde<V>::Read(reader_, value);
-    if (!status_.ok()) return false;
+    // status_ is only assigned on failure, so a clean record costs no
+    // Status move.
+    if (Status s = Serde<K>::Read(reader_, key); !s.ok()) return Fail(std::move(s));
+    if (Status s = Serde<V>::Read(reader_, value); !s.ok()) return Fail(std::move(s));
     ++read_;
     return true;
   }
 
-  Status status() const {
-    if (!status_.ok()) return status_;
-    if (read_ < count_) return Status::Ok();  // not yet drained
-    return Status::Ok();
-  }
+  Status status() const { return status_; }
 
   /// Drains the stream into a vector; returns error on corruption.
   Result<std::vector<std::pair<K, V>>> ReadAll() {
@@ -99,6 +95,11 @@ class KvReader {
   }
 
  private:
+  bool Fail(Status s) {
+    status_ = std::move(s);
+    return false;
+  }
+
   Reader reader_{std::span<const uint8_t>{}};
   uint64_t count_ = 0;
   uint64_t read_ = 0;

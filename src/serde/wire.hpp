@@ -27,7 +27,10 @@ constexpr int64_t ZigzagDecode(uint64_t v) {
   return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
-/// Encoded length of v as a LEB128 varint (1..10 bytes).
+/// Longest LEB128 encoding of a uint64_t.
+inline constexpr size_t kMaxVarU64Bytes = 10;
+
+/// Encoded length of v as a LEB128 varint (1..kMaxVarU64Bytes bytes).
 constexpr size_t VarU64Size(uint64_t v) {
   size_t n = 1;
   while (v >= 0x80) {
@@ -37,8 +40,8 @@ constexpr size_t VarU64Size(uint64_t v) {
   return n;
 }
 
-/// Encodes v as a LEB128 varint into out (at least 10 bytes); returns the
-/// number of bytes written.
+/// Encodes v as a LEB128 varint into out (room for kMaxVarU64Bytes);
+/// returns the number of bytes written.
 inline size_t EncodeVarU64(uint64_t v, uint8_t* out) {
   size_t n = 0;
   while (v >= 0x80) {
@@ -79,11 +82,7 @@ class Writer {
       counted_ += VarU64Size(v);
       return;
     }
-    while (v >= 0x80) {
-      buf_->AppendByte(static_cast<uint8_t>(v | 0x80));
-      v >>= 7;
-    }
-    buf_->AppendByte(static_cast<uint8_t>(v));
+    buf_->AppendUpTo(kMaxVarU64Bytes, [v](uint8_t* out) { return EncodeVarU64(v, out); });
   }
 
   void WriteVarI64(int64_t v) { WriteVarU64(ZigzagEncode(v)); }
@@ -141,6 +140,21 @@ class Reader {
   }
 
   Status ReadVarU64(uint64_t& out) {
+    // Fast path: with kMaxVarU64Bytes left the varint cannot be truncated,
+    // and one of at most 9 bytes (63 bits) cannot overflow; anything else
+    // falls through to the checked loop.
+    if (remaining() >= kMaxVarU64Bytes) {
+      const uint8_t* p = bytes_.data() + pos_;
+      uint64_t v = 0;
+      for (size_t i = 0; i < 9; ++i) {
+        v |= static_cast<uint64_t>(p[i] & 0x7f) << (7 * i);
+        if (p[i] < 0x80) {
+          out = v;
+          pos_ += i + 1;
+          return Status::Ok();
+        }
+      }
+    }
     out = 0;
     int shift = 0;
     while (true) {

@@ -94,6 +94,33 @@ TEST_F(DfsTest, MultiBlockFiles) {
   EXPECT_EQ(meta.value()->size_bytes, 1000u);
 }
 
+TEST_F(DfsTest, BlockChecksumsCoverTheirSlices) {
+  DfsConfig cfg;
+  cfg.block_size_bytes = 64;
+  Dfs small(queue_, network_, cfg);
+  const serde::Buffer data = MakeData(1000);  // 15 full blocks and a 40-byte tail
+  Status status = Status::Internal("pending");
+  small.WriteFile(0, "/sums", data, [&](Status s) { status = s; });
+  queue_.RunUntilEmpty();
+  ASSERT_TRUE(status.ok());
+  const auto meta = small.Stat("/sums");
+  ASSERT_TRUE(meta.ok());
+  const auto& blocks = meta.value()->blocks;
+  ASSERT_EQ(blocks.size(), 16u);
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    const std::span<const uint8_t> slice =
+        data.view().subspan(i * 64, blocks[i].size_bytes);
+    // The byte-at-a-time CRC-32, independent of the sliced implementation.
+    uint32_t crc = 0xFFFFFFFFu;
+    for (uint8_t b : slice) {
+      crc ^= b;
+      for (int k = 0; k < 8; ++k) crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+    EXPECT_EQ(blocks[i].checksum, crc ^ 0xFFFFFFFFu) << "block " << i;
+  }
+  EXPECT_EQ(blocks.back().size_bytes, 40u);
+}
+
 TEST_F(DfsTest, LocationsCoverReplicas) {
   ASSERT_TRUE(Write(1, "/f", MakeData(256)).ok());
   const auto locations = dfs_.Locations("/f");

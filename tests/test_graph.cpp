@@ -180,7 +180,7 @@ TEST(GraphIo, BinaryRoundTrip) {
 
 TEST(GraphIo, CorruptBufferRejected) {
   const auto buf = EncodeGraph(Triangle());
-  std::vector<uint8_t> bytes(buf.bytes().begin(), buf.bytes().end() - 3);
+  std::vector<uint8_t> bytes(buf.view().begin(), buf.view().end() - 3);
   EXPECT_FALSE(DecodeGraph(serde::Buffer{std::move(bytes)}).ok());
 }
 

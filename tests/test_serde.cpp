@@ -1,7 +1,10 @@
-// Unit + property tests: binary wire format, Serde<T>, KV streams, CRC32.
+// Unit + property tests: Buffer, binary wire format, Serde<T>, KV streams,
+// CRC32.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,6 +16,113 @@
 
 namespace asyncmr::serde {
 namespace {
+
+std::vector<uint8_t> Bytes(const Buffer& buf) {
+  return {buf.view().begin(), buf.view().end()};
+}
+
+TEST(Buffer, ZeroLengthAppendOnEmptyBuffer) {
+  Buffer buf;
+  buf.Append(nullptr, 0);
+  buf.Prepend(nullptr, 0);
+  EXPECT_TRUE(buf.empty());
+  EXPECT_EQ(buf.view().size(), 0u);
+  const uint8_t byte = 7;
+  buf.Append(&byte, 1);
+  buf.Append(nullptr, 0);
+  EXPECT_EQ(Bytes(buf), std::vector<uint8_t>{7});
+}
+
+TEST(Buffer, AppendByteGrowsAcrossCapacityBoundaries) {
+  Buffer buf;
+  std::vector<uint8_t> expected;
+  for (int i = 0; i < 1000; ++i) {
+    buf.AppendByte(static_cast<uint8_t>(i * 7));
+    expected.push_back(static_cast<uint8_t>(i * 7));
+  }
+  EXPECT_EQ(Bytes(buf), expected);
+  buf.clear();
+  EXPECT_TRUE(buf.empty());
+  buf.AppendByte(1);
+  EXPECT_EQ(Bytes(buf), std::vector<uint8_t>{1});
+}
+
+TEST(Buffer, PrependIntoEmptyAndNonEmpty) {
+  const std::array<uint8_t, 3> head{1, 2, 3};
+  Buffer empty;
+  empty.Prepend(head.data(), head.size());
+  EXPECT_EQ(Bytes(empty), (std::vector<uint8_t>{1, 2, 3}));
+
+  Buffer filled;
+  for (uint8_t b = 10; b < 110; ++b) filled.AppendByte(b);
+  filled.Prepend(head.data(), head.size());
+  ASSERT_EQ(filled.size(), 103u);
+  EXPECT_EQ(filled.data()[0], 1);
+  EXPECT_EQ(filled.data()[2], 3);
+  EXPECT_EQ(filled.data()[3], 10);
+  EXPECT_EQ(filled.data()[102], 109);
+}
+
+TEST(Buffer, CopiesAreIndependent) {
+  Buffer a;
+  for (uint8_t b = 0; b < 100; ++b) a.AppendByte(b);
+  Buffer b(a);
+  EXPECT_EQ(a, b);
+  b.data()[0] = 0xFF;
+  b.AppendByte(1);
+  EXPECT_EQ(a.data()[0], 0);
+  EXPECT_EQ(a.size(), 100u);
+
+  Buffer c;
+  c.AppendByte(42);
+  c = a;
+  EXPECT_EQ(c, a);
+  c.data()[1] = 0xFF;
+  EXPECT_EQ(a.data()[1], 1);
+
+  const Buffer& alias = c;
+  c = alias;  // self-assignment keeps the contents
+  EXPECT_EQ(c.size(), 100u);
+  EXPECT_EQ(c.data()[1], 0xFF);
+
+  Buffer empty;
+  c = empty;
+  EXPECT_TRUE(c.empty());
+  EXPECT_EQ(a.size(), 100u);
+}
+
+TEST(Buffer, MovedFromBufferIsEmptyAndReusable) {
+  Buffer a;
+  for (uint8_t b = 0; b < 50; ++b) a.AppendByte(b);
+  const Buffer snapshot = a;
+  Buffer b(std::move(a));
+  EXPECT_EQ(b, snapshot);
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+  a.AppendByte(9);
+  EXPECT_EQ(Bytes(a), std::vector<uint8_t>{9});
+
+  Buffer c;
+  c.AppendByte(1);
+  c = std::move(b);
+  EXPECT_EQ(c, snapshot);
+  EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
+  b.Append(snapshot.data(), snapshot.size());
+  EXPECT_EQ(b, snapshot);
+}
+
+TEST(Buffer, EqualityComparesBytes) {
+  Buffer empty;
+  Buffer other_empty;
+  Buffer one;
+  one.AppendByte(0);
+  EXPECT_EQ(empty, other_empty);
+  EXPECT_FALSE(empty == one);
+  EXPECT_FALSE(one == empty);
+  other_empty.AppendByte(0);
+  EXPECT_EQ(one, other_empty);
+  other_empty.data()[0] = 1;
+  EXPECT_FALSE(one == other_empty);
+}
 
 TEST(Wire, ZigzagRoundTrip) {
   for (int64_t v : {0L, 1L, -1L, 63L, -64L, (int64_t)1e15, -(int64_t)1e15,
@@ -212,9 +322,30 @@ TEST(KvStream, CorruptedStreamReportsDataLoss) {
   // Truncate mid-record. The buffer must outlive the reader (KvReader holds
   // a view, not a copy — it refuses temporaries for exactly this reason).
   const Buffer truncated{
-      std::vector<uint8_t>(buf.bytes().begin(), buf.bytes().end() - 5)};
+      std::vector<uint8_t>(buf.view().begin(), buf.view().end() - 5)};
   KvReader<uint32_t, std::string> r(truncated);
   EXPECT_FALSE(r.ReadAll().ok());
+}
+
+TEST(KvStream, StreamCutInsideKeyVarintReportsDataLoss) {
+  // Keys of 2^21 and more take 4 varint bytes; the cut lands after the
+  // second byte of the last key, with enough records before it that the
+  // earlier keys decode on the varint fast path.
+  KvWriter<uint32_t, double> w;
+  for (uint32_t i = 0; i < 8; ++i) w.Add((1u << 21) + i, 0.5 * i);
+  const Buffer buf = std::move(w).Finish();
+  const size_t last_record = 4 + 8;  // varint key + fixed double
+  const Buffer truncated{
+      std::span<const uint8_t>(buf.data(), buf.size() - last_record + 2)};
+  KvReader<uint32_t, double> r(truncated);
+  uint32_t k = 0;
+  double v = 0;
+  uint32_t records = 0;
+  while (r.Next(k, v)) ++records;
+  EXPECT_EQ(records, 7u);
+  EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
+  EXPECT_FALSE(r.Next(k, v));
+  EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
 }
 
 TEST(KvStream, EmptyStream) {
@@ -223,6 +354,42 @@ TEST(KvStream, EmptyStream) {
   KvReader<uint32_t, uint32_t> r(buf);
   EXPECT_EQ(r.count(), 0u);
   EXPECT_TRUE(r.ReadAll().value().empty());
+}
+
+// The plain byte-at-a-time CRC-32 the sliced implementation must match.
+uint32_t ReferenceCrc32(std::span<const uint8_t> bytes, uint32_t seed = 0) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (uint8_t b : bytes) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesByteWiseReferenceAtEveryOffsetAndLength) {
+  Rng rng(5);
+  std::vector<uint8_t> data(8 + 257);
+  for (auto& b : data) b = static_cast<uint8_t>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 257; ++len) {
+      const std::span<const uint8_t> slice(data.data() + offset, len);
+      ASSERT_EQ(Crc32(slice), ReferenceCrc32(slice))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, ChainsAcrossSplits) {
+  Rng rng(6);
+  std::vector<uint8_t> data(300);
+  for (auto& b : data) b = static_cast<uint8_t>(rng.Next());
+  const std::span<const uint8_t> all(data);
+  for (size_t split : {0, 1, 7, 8, 9, 63, 64, 150, 299, 300}) {
+    const uint32_t head = Crc32(all.first(split));
+    EXPECT_EQ(Crc32(all.subspan(split), head), Crc32(all)) << "split " << split;
+    EXPECT_EQ(Crc32(all.subspan(split), head),
+              ReferenceCrc32(all.subspan(split), ReferenceCrc32(all.first(split))));
+  }
 }
 
 TEST(Crc32, KnownVector) {
