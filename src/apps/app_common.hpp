@@ -1,14 +1,19 @@
 // Helpers shared by the benchmark applications (PageRank, SSSP, K-Means,
-// and the extension apps): per-partition graph views and dense contribution
-// accumulators used to pre-combine map emissions efficiently.
+// and the extension apps): the async graph apps' boundary plan and delta
+// filters, and dense contribution accumulators used to pre-combine map
+// emissions efficiently.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "async/async_engine.hpp"
+#include "common/check.hpp"
 #include "core/metrics.hpp"
 #include "graph/partition.hpp"
 
@@ -23,18 +28,205 @@ inline constexpr double kInfDistance = std::numeric_limits<double>::infinity();
 core::RunTrace AsyncRunTrace(const std::string& name,
                              const async::AsyncResult& result);
 
-/// Per-partition view of a digraph: members plus, for each member, its
-/// out-neighbors split into partition-internal targets and all targets.
-/// Built once per (graph, partitioning); iterations only read it.
-struct PartitionView {
-  // Flattened member list per partition.
-  std::vector<std::vector<graph::VertexId>> members;
-  // For each partition, for each member (parallel to members[p]):
-  // indices into the graph's CSR row of targets inside the same partition.
-  std::vector<std::vector<std::vector<uint32_t>>> internal_target_index;
+/// The boundary structure of a locality partition, built once per (graph,
+/// partitioning) for the async graph apps (PageRank, Jacobi, SSSP,
+/// components). Iterations only read it. Every list is in a fixed order, so
+/// sums and min-folds over it run in the same order on every run:
+///  * members ascending, and local_of[v] = v's index in its own partition;
+///  * internal adjacency as CSR over local indices, in the graph's CSR
+///    neighbour order;
+///  * out-groups in ascending peer order. A group holds its sorted distinct
+///    cut-edge targets and, per target ordinal j, the run of edges
+///    [run_begin[j], run_begin[j + 1]) into sources (and weights, when the
+///    graph is weighted). The runs come from a stable sort of the
+///    source-major cut-edge list by target, so each run lists its sources in
+///    CSR order;
+///  * in_peers, the partitions with an out-group toward this one, ascending.
+struct BoundaryPlan {
+  struct OutGroup {
+    uint32_t peer = 0;
+    std::vector<graph::VertexId> targets;  // ascending, distinct
+    std::vector<uint32_t> run_begin;       // targets.size() + 1 offsets
+    std::vector<uint32_t> sources;         // per cut edge: source local index
+    std::vector<double> weights;           // per cut edge; empty if unweighted
 
-  static PartitionView Build(const graph::Digraph& g, const graph::Partitioning& p);
+    uint64_t num_edges() const { return sources.size(); }
+
+    /// Sum of contrib(source local index) over target j's run, in run order.
+    /// Seeding, pushing and auditing a filtered sum all go through here, so
+    /// they agree bit for bit.
+    template <typename ContribFn>
+    double RunSum(size_t j, ContribFn&& contrib) const {
+      double sum = 0.0;
+      for (uint32_t e = run_begin[j]; e < run_begin[j + 1]; ++e) {
+        sum += contrib(sources[e]);
+      }
+      return sum;
+    }
+  };
+
+  struct Part {
+    std::vector<graph::VertexId> members;     // ascending
+    std::vector<uint32_t> internal_offsets;   // members.size() + 1
+    std::vector<uint32_t> internal_targets;   // local indices
+    std::vector<double> internal_weights;     // empty if unweighted
+    std::vector<OutGroup> out;                // ascending peer
+    std::vector<uint32_t> in_peers;           // ascending
+
+    std::span<const uint32_t> Internal(uint32_t i) const {
+      return {internal_targets.data() + internal_offsets[i],
+              internal_targets.data() + internal_offsets[i + 1]};
+    }
+    uint64_t internal_edges() const { return internal_targets.size(); }
+    /// Index into out of the group toward peer; out.size() when none.
+    size_t GroupTo(uint32_t peer) const {
+      for (size_t b = 0; b < out.size(); ++b) {
+        if (out[b].peer == peer) return b;
+      }
+      return out.size();
+    }
+  };
+
+  std::vector<uint32_t> local_of;  // global vertex -> index in its partition
+  std::vector<Part> parts;
+
+  static BoundaryPlan Build(const graph::Digraph& g,
+                            const graph::Partitioning& partitioning);
+
+  /// local_of[v], checked: v must be a member of partition p (a boundary
+  /// update addressed to a vertex the receiver does not own is a bug).
+  uint32_t LocalIndex(uint32_t p, graph::VertexId v) const {
+    AMR_CHECK(v < local_of.size() && local_of[v] < parts[p].members.size() &&
+              parts[p].members[local_of[v]] == v)
+        << "vertex " << v << " is not a member of partition " << p;
+    return local_of[v];
+  }
 };
+
+/// The sender side of filtered boundary communication: for every
+/// (partition, out-group, target ordinal) of a plan, the last value pushed.
+/// `resend` is the app's "never sent" sentinel, a value no real push can
+/// match within the filter (+inf for sums and distances, UINT32_MAX for
+/// labels), so re-announcement is a fill with it.
+template <typename T>
+class DeltaFilter {
+ public:
+  DeltaFilter(const BoundaryPlan& plan, T initial, T resend)
+      : plan_(&plan), resend_(resend), sent_(plan.parts.size()) {
+    for (size_t p = 0; p < plan.parts.size(); ++p) {
+      for (const auto& group : plan.parts[p].out) {
+        sent_[p].emplace_back(group.targets.size(), initial);
+      }
+    }
+  }
+
+  /// Group b of partition p, indexed by target ordinal.
+  std::vector<T>& sent(uint32_t p, size_t b) { return sent_[p][b]; }
+
+  /// Re-announces every target of p on its next push: the receivers' views
+  /// of p belong to a dead epoch.
+  void ResendAll(uint32_t p) {
+    for (auto& group : sent_[p]) std::fill(group.begin(), group.end(), resend_);
+  }
+
+  /// Re-announces p's targets in `peer`: the peer restarted from a
+  /// checkpoint, or a batch toward it was abandoned.
+  void ResendTo(uint32_t p, uint32_t peer) {
+    const size_t b = plan_->parts[p].GroupTo(peer);
+    if (b < sent_[p].size()) {
+      std::fill(sent_[p][b].begin(), sent_[p][b].end(), resend_);
+    }
+  }
+
+ private:
+  const BoundaryPlan* plan_;
+  T resend_;
+  std::vector<std::vector<std::vector<T>>> sent_;
+};
+
+/// Declares the plan's out-groups as the engine's send topology and routes
+/// peer restarts to the filter's re-announcement. plan and filter must
+/// outlive the engine's run.
+template <typename T>
+void AttachBoundary(async::AsyncEngine& engine, const BoundaryPlan& plan,
+                    DeltaFilter<T>& filter) {
+  engine.set_out_peers([&plan](uint32_t p) {
+    std::vector<uint32_t> peers;
+    for (const auto& group : plan.parts[p].out) peers.push_back(group.peer);
+    return peers;
+  });
+  engine.set_on_peer_restart([&filter](uint32_t p, uint32_t restarted) {
+    filter.ResendTo(p, restarted);
+  });
+}
+
+/// A receiver's external sums (PageRank, Jacobi): per member, the sum over
+/// in-peers of the latest value each one sent, kept incrementally. Under
+/// AMR_AUDIT it also counts its roundings: each `sum += next - prev` rounds
+/// twice, and is off by at most DBL_EPSILON * (|prev| + |next| + |sum|).
+struct ExternalSums {
+  std::vector<double> values;  // per member
+  AMR_IF_AUDIT(uint64_t roundings = 0; double magnitude = 0.0;)
+
+  void Replace(uint32_t i, double prev, double next) {
+    double& sum = values[i];
+    sum += next - prev;
+    AMR_IF_AUDIT(++roundings; magnitude = std::max(
+        magnitude, std::abs(prev) + std::abs(next) + std::abs(sum));)
+  }
+};
+
+/// The send_eps contract of a delta-filtered sum (PageRank, Jacobi), checked
+/// per member on a converged run. A sender withholds a change of at most
+/// send_eps = tolerance / (2 P) per target, so a receiver with at most P - 1
+/// in-peers holds an external sum within tolerance / 2 of the one rebuilt
+/// from the senders' final iterates. Beyond that only rounding separates
+/// them: `roundings` operations, each off by at most DBL_EPSILON *
+/// `magnitude`. A free function so negative tests can feed it a violating
+/// pair directly (tests/test_audit.cpp).
+inline void AuditWithheldSum(double ext, double recomputed, double tolerance,
+                             uint64_t roundings, double magnitude) {
+  const double slack = static_cast<double>(roundings) *
+                       std::numeric_limits<double>::epsilon() * magnitude;
+  AUDIT_CHECK(std::abs(ext - recomputed) <= 0.5 * tolerance + slack)
+      << "filtered boundary sum drifted past send_eps: held " << ext
+      << ", recomputed " << recomputed << ", bound " << 0.5 * tolerance
+      << " + " << slack << " rounding";
+}
+
+#ifdef AMR_AUDIT
+/// Rebuilds every member's external sum from the senders' final iterates
+/// (contrib(sender part, source local index), through the same RunSum the
+/// push uses) and checks it against the receiver's ExternalSums part.ext
+/// under AuditWithheldSum.
+template <typename Part, typename ContribFn>
+void AuditWithheldSums(const BoundaryPlan& plan, const std::vector<Part>& parts,
+                       double tolerance, ContribFn contrib) {
+  std::vector<std::vector<double>> sums;
+  for (const auto& part : plan.parts) sums.emplace_back(part.members.size(), 0.0);
+  std::vector<std::vector<double>> abs_sums = sums;
+  for (size_t p = 0; p < plan.parts.size(); ++p) {
+    for (const auto& group : plan.parts[p].out) {
+      for (size_t j = 0; j < group.targets.size(); ++j) {
+        const double sum = group.RunSum(
+            j, [&](uint32_t i) { return contrib(parts[p], i); });
+        const uint32_t l = plan.local_of[group.targets[j]];
+        sums[group.peer][l] += sum;
+        abs_sums[group.peer][l] += std::abs(sum);
+      }
+    }
+  }
+  for (size_t q = 0; q < plan.parts.size(); ++q) {
+    const ExternalSums& ext = parts[q].ext;
+    // The rebuild adds one rounding per in-peer, each within its abs sum.
+    const uint64_t roundings = ext.roundings + plan.parts[q].in_peers.size();
+    for (size_t l = 0; l < sums[q].size(); ++l) {
+      AuditWithheldSum(ext.values[l], sums[q][l], tolerance, roundings,
+                       std::max(ext.magnitude, abs_sums[q][l]));
+    }
+  }
+}
+#endif  // AMR_AUDIT
 
 /// Dense accumulator for pre-combining (target, double) contributions inside
 /// one map task without hashing: O(edges + size/64) per use, reusable across

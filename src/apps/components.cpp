@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <numeric>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "apps/app_common.hpp"
@@ -111,27 +109,6 @@ ComponentsResult EagerComponents(cluster::SimCluster& cluster,
 // Async components: chaotic min-label propagation on async::AsyncEngine.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Per-partition worker state for the asynchronous engine.
-struct AsyncCcPartition {
-  std::vector<graph::VertexId> members;
-  // Internal symmetrized adjacency per member (global target vertex ids).
-  std::vector<std::vector<graph::VertexId>> internal;
-  uint64_t internal_edges = 0;
-  // Boundary edges grouped by consuming partition, (target, source) sorted by
-  // target so per-target minima fold in one pass.
-  struct BoundaryGroup {
-    uint32_t peer = 0;
-    std::vector<std::pair<graph::VertexId, graph::VertexId>> edges;
-  };
-  std::vector<BoundaryGroup> boundary;
-  // Best label already pushed per boundary target (monotone decreasing).
-  std::vector<std::unordered_map<graph::VertexId, uint32_t>> best_sent;
-};
-
-}  // namespace
-
 ComponentsResult AsyncComponents(cluster::SimCluster& cluster,
                                  const graph::Digraph& g,
                                  const graph::Partitioning& partitioning,
@@ -140,33 +117,15 @@ ComponentsResult AsyncComponents(cluster::SimCluster& cluster,
                                  async::AsyncResult* engine_stats) {
   const uint32_t n = g.num_vertices();
   const uint32_t num_parts = partitioning.num_parts;
-  const graph::Digraph sym = Symmetrized(g);
-  const auto members = partitioning.Members();
-
-  std::vector<AsyncCcPartition> parts(num_parts);
-  for (uint32_t p = 0; p < num_parts; ++p) {
-    AsyncCcPartition& part = parts[p];
-    part.members = members[p];
-    part.internal.resize(part.members.size());
-    std::map<uint32_t, std::vector<std::pair<graph::VertexId, graph::VertexId>>>
-        boundary;
-    for (size_t i = 0; i < part.members.size(); ++i) {
-      const graph::VertexId u = part.members[i];
-      for (graph::VertexId t : sym.OutNeighbors(u)) {
-        if (partitioning.part_of[t] == p) {
-          part.internal[i].push_back(t);
-          ++part.internal_edges;
-        } else {
-          boundary[partitioning.part_of[t]].emplace_back(t, u);
-        }
-      }
-    }
-    for (auto& [q, edges] : boundary) {
-      std::sort(edges.begin(), edges.end());
-      part.boundary.push_back({q, std::move(edges)});
-    }
-    part.best_sent.resize(part.boundary.size());
-  }
+  const BoundaryPlan plan = BoundaryPlan::Build(Symmetrized(g), partitioning);
+  // Best label already pushed per boundary target (monotone decreasing);
+  // UINT32_MAX, above every vertex id, means never sent. Re-announcement
+  // refills it so every label is pushed again: labels only shrink
+  // (min-combine), so dead-epoch facts stand, but the restarted worker
+  // itself rolled back to older (larger) labels and needs its in-peers'
+  // minima again.
+  constexpr uint32_t kNeverSent = std::numeric_limits<uint32_t>::max();
+  DeltaFilter<uint32_t> best_sent(plan, kNeverSent, kNeverSent);
 
   ComponentsResult result;
   result.labels.resize(n);
@@ -183,24 +142,11 @@ ComponentsResult AsyncComponents(cluster::SimCluster& cluster,
   engine_config.name = config.job_prefix + "-async";
   async::AsyncEngine engine(cluster, num_parts, engine_config);
 
-  // Recovery re-announcement: every label this group ever pushed is pushed
-  // again. Labels only shrink (min-combine), so dead-epoch facts stand; the
-  // restarted worker itself rolled back to older (larger) labels and needs
-  // its in-peers' minima again.
-  auto force_resend = [](AsyncCcPartition& part, size_t b) {
-    for (auto& [target, best] : part.best_sent[b]) {
-      best = std::numeric_limits<uint32_t>::max();
-    }
-  };
-
-  engine.set_out_peers([&](uint32_t p) {
-    std::vector<uint32_t> peers;
-    for (const auto& group : parts[p].boundary) peers.push_back(group.peer);
-    return peers;
-  });
+  AttachBoundary(engine, plan, best_sent);
 
   engine.set_compute([&](uint32_t p, async::AsyncContext& ctx) {
-    AsyncCcPartition& part = parts[p];
+    const BoundaryPlan::Part& part = plan.parts[p];
+    const auto m = static_cast<uint32_t>(part.members.size());
     uint64_t ops = 0;
     uint64_t changed = 0;
 
@@ -208,38 +154,36 @@ ComponentsResult AsyncComponents(cluster::SimCluster& cluster,
     // point before pushing anything over the cut.
     for (uint32_t sweep = 0; sweep < config.max_local_iterations; ++sweep) {
       uint64_t sweep_changed = 0;
-      for (size_t i = 0; i < part.members.size(); ++i) {
+      for (uint32_t i = 0; i < m; ++i) {
         const graph::VertexId lu = labels[part.members[i]];
-        for (graph::VertexId t : part.internal[i]) {
-          if (lu < labels[t]) {
-            labels[t] = lu;
+        for (uint32_t t : part.Internal(i)) {
+          graph::VertexId& lt = labels[part.members[t]];
+          if (lu < lt) {
+            lt = lu;
             ++sweep_changed;
           }
         }
       }
-      ops += part.internal_edges + part.members.size();
+      ops += part.internal_edges() + m;
       changed += sweep_changed;
       if (sweep_changed == 0) break;
     }
     ctx.set_residual(static_cast<double>(changed));
 
     // Push improved labels over cut edges, min-folded per target.
-    for (size_t b = 0; b < part.boundary.size(); ++b) {
-      const auto& group = part.boundary[b];
-      for (size_t e = 0; e < group.edges.size();) {
-        const graph::VertexId t = group.edges[e].first;
-        uint32_t best = labels[group.edges[e].second];
-        for (++e; e < group.edges.size() && group.edges[e].first == t; ++e) {
-          best = std::min(best, static_cast<uint32_t>(labels[group.edges[e].second]));
+    for (size_t b = 0; b < part.out.size(); ++b) {
+      const BoundaryPlan::OutGroup& group = part.out[b];
+      std::vector<uint32_t>& sent = best_sent.sent(p, b);
+      for (size_t j = 0; j < group.targets.size(); ++j) {
+        uint32_t best = kNeverSent;
+        for (uint32_t e = group.run_begin[j]; e < group.run_begin[j + 1]; ++e) {
+          best = std::min(best, labels[part.members[group.sources[e]]]);
         }
-        auto [it, inserted] = part.best_sent[b].try_emplace(t, best);
-        if (!inserted) {
-          if (best >= it->second) continue;
-          it->second = best;
-        }
-        ctx.Emit(group.peer, CcLabelUpdate{t, best});
+        if (best >= sent[j]) continue;
+        sent[j] = best;
+        ctx.Emit(group.peer, CcLabelUpdate{group.targets[j], best});
       }
-      ops += group.edges.size();
+      ops += group.num_edges();
     }
     ctx.AddOps(ops);
   });
@@ -254,25 +198,19 @@ ComponentsResult AsyncComponents(cluster::SimCluster& cluster,
 
   // Worker state is this partition's slice of the label vector.
   engine.set_snapshot([&](uint32_t p, serde::Writer& w) {
-    const AsyncCcPartition& part = parts[p];
+    const auto& members = plan.parts[p].members;
     std::vector<uint32_t> slice;
-    slice.reserve(part.members.size());
-    for (graph::VertexId v : part.members) slice.push_back(labels[v]);
+    slice.reserve(members.size());
+    for (graph::VertexId v : members) slice.push_back(labels[v]);
     serde::Serde<std::vector<uint32_t>>::Write(w, slice);
   });
   engine.set_restore([&](uint32_t p, serde::Reader& r) {
-    AsyncCcPartition& part = parts[p];
+    const auto& members = plan.parts[p].members;
     std::vector<uint32_t> slice;
     AMR_CHECK(serde::Serde<std::vector<uint32_t>>::Read(r, slice).ok());
-    AMR_CHECK_EQ(slice.size(), part.members.size());
-    for (size_t i = 0; i < slice.size(); ++i) labels[part.members[i]] = slice[i];
-    for (size_t b = 0; b < part.boundary.size(); ++b) force_resend(part, b);
-  });
-  engine.set_on_peer_restart([&](uint32_t q, uint32_t restarted) {
-    AsyncCcPartition& part = parts[q];
-    for (size_t b = 0; b < part.boundary.size(); ++b) {
-      if (part.boundary[b].peer == restarted) force_resend(part, b);
-    }
+    AMR_CHECK_EQ(slice.size(), members.size());
+    for (size_t i = 0; i < slice.size(); ++i) labels[members[i]] = slice[i];
+    best_sent.ResendAll(p);
   });
 
   async::AsyncResult engine_result = engine.Run();

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <optional>
-#include <unordered_map>
 
 #include "apps/app_common.hpp"
 #include "core/partial_sync_job.hpp"
@@ -331,25 +329,10 @@ namespace {
 
 /// Per-partition worker state for the asynchronous engine.
 struct AsyncJacPartition {
-  std::vector<graph::VertexId> members;
-  std::unordered_map<graph::VertexId, uint32_t> local_index;
-  // Internal adjacency in local indices (the diagonal block of A).
-  std::vector<std::vector<uint32_t>> internal_targets;
   std::vector<double> inv_diag;  // per member: 1 / (full sym degree + 1)
-  uint64_t internal_edges = 0;
-  // Boundary out-edges grouped by consuming partition, as (target, source
-  // local index) sorted by target so per-target row sums fold in one pass.
-  struct BoundaryGroup {
-    uint32_t peer = 0;
-    std::vector<std::pair<graph::VertexId, uint32_t>> edges;
-  };
-  std::vector<BoundaryGroup> boundary;
-
-  std::vector<double> x;    // per member
-  std::vector<double> ext;  // per member: summed external boundary rows
+  std::vector<double> x;         // per member
+  ExternalSums ext;              // summed external boundary rows
   async::StateStore<double> store;  // latest row sum per (sender, vertex)
-  // Delta filter per boundary group: last value pushed for each target.
-  std::vector<std::unordered_map<graph::VertexId, double>> last_sent;
 };
 
 }  // namespace
@@ -365,51 +348,30 @@ JacobiResult AsyncJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
   // Row-sum changes smaller than this are not re-pushed. The Jacobi update
   // divides the row sum by (deg + 1) >= 1, so one withheld delta per in-peer
   // perturbs an iterate by at most send_eps; scale with the partition count
-  // to keep the total silenced error under half the global tolerance.
+  // to keep the total silenced error under half the global tolerance
+  // (AuditWithheldSums checks it).
   const double send_eps =
       config.tolerance * 0.5 / std::max(1u, partitioning.num_parts);
-  const auto members = partitioning.Members();
+  const BoundaryPlan plan = BoundaryPlan::Build(g_sym, partitioning);
+  // x starts at all zeros, so every boundary row sum (and thus every ext)
+  // starts at 0.0 too: filters initialised to 0.0 already agree with the
+  // receivers' views, and no seeding pass is needed. Re-announcement pushes
+  // every target unconditionally (row sums hover near zero, so a cleared
+  // filter could stay silent within send_eps while the peer holds a stale
+  // dead-epoch value).
+  DeltaFilter<double> last_sent(plan, 0.0, std::numeric_limits<double>::infinity());
 
   std::vector<AsyncJacPartition> parts(num_parts);
-  std::vector<std::vector<uint32_t>> in_peers(num_parts);
-
   for (uint32_t p = 0; p < num_parts; ++p) {
     AsyncJacPartition& part = parts[p];
-    part.members = members[p];
-    const uint32_t m = static_cast<uint32_t>(part.members.size());
-    part.local_index.reserve(m * 2);
-    for (uint32_t i = 0; i < m; ++i) part.local_index.emplace(part.members[i], i);
-    part.internal_targets.resize(m);
-    part.inv_diag.resize(m);
-    part.x.assign(m, 0.0);
-    part.ext.assign(m, 0.0);
-
-    std::map<uint32_t, std::vector<std::pair<graph::VertexId, uint32_t>>> boundary;
-    for (uint32_t i = 0; i < m; ++i) {
-      const graph::VertexId u = part.members[i];
-      part.inv_diag[i] = 1.0 / (g_sym.OutDegree(u) + 1.0);
-      for (graph::VertexId t : g_sym.OutNeighbors(u)) {
-        const uint32_t q = partitioning.part_of[t];
-        if (q == p) {
-          part.internal_targets[i].push_back(part.local_index.at(t));
-          ++part.internal_edges;
-        } else {
-          boundary[q].emplace_back(t, i);
-        }
-      }
+    const auto& members = plan.parts[p].members;
+    part.inv_diag.resize(members.size());
+    for (size_t i = 0; i < members.size(); ++i) {
+      part.inv_diag[i] = 1.0 / (g_sym.OutDegree(members[i]) + 1.0);
     }
-    for (auto& [q, edges] : boundary) {
-      std::sort(edges.begin(), edges.end());
-      part.boundary.push_back({q, std::move(edges)});
-      in_peers[q].push_back(p);
-    }
-    part.last_sent.resize(part.boundary.size());
-  }
-  // x starts at all zeros, so every boundary row sum — and thus every ext —
-  // starts at 0.0 too; the senders' empty delta filters already agree with
-  // the receivers' views and no seeding pass is needed.
-  for (uint32_t p = 0; p < num_parts; ++p) {
-    parts[p].store = async::StateStore<double>(in_peers[p]);
+    part.x.assign(members.size(), 0.0);
+    part.ext.values.assign(members.size(), 0.0);
+    part.store = async::StateStore<double>(plan.parts[p].in_peers);
   }
 
   async::AsyncConfig engine_config;
@@ -422,26 +384,12 @@ JacobiResult AsyncJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
   engine_config.name = config.job_prefix + "-async";
   async::AsyncEngine engine(cluster, num_parts, engine_config);
 
-  // Recovery re-announcement: marks every target of one boundary group for
-  // unconditional re-send (row sums hover near zero, so a cleared filter
-  // could stay silent within send_eps while the peer holds a stale
-  // dead-epoch value).
-  auto force_resend = [](AsyncJacPartition& part, size_t bg) {
-    constexpr double kResend = std::numeric_limits<double>::infinity();
-    for (const auto& [target, source] : part.boundary[bg].edges) {
-      part.last_sent[bg][target] = kResend;
-    }
-  };
-
-  engine.set_out_peers([&](uint32_t p) {
-    std::vector<uint32_t> peers;
-    for (const auto& group : parts[p].boundary) peers.push_back(group.peer);
-    return peers;
-  });
+  AttachBoundary(engine, plan, last_sent);
 
   engine.set_compute([&](uint32_t p, async::AsyncContext& ctx) {
     AsyncJacPartition& part = parts[p];
-    const uint32_t m = static_cast<uint32_t>(part.members.size());
+    const BoundaryPlan::Part& part_plan = plan.parts[p];
+    const auto m = static_cast<uint32_t>(part_plan.members.size());
     if (m == 0) return;
     const std::vector<double> before = part.x;
     uint64_t ops = 0;
@@ -453,16 +401,16 @@ JacobiResult AsyncJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
       std::fill(acc.begin(), acc.end(), 0.0);
       for (uint32_t i = 0; i < m; ++i) {
         const double xi = part.x[i];
-        for (uint32_t t : part.internal_targets[i]) acc[t] += xi;
+        for (uint32_t t : part_plan.Internal(i)) acc[t] += xi;
       }
       double sweep_residual = 0.0;
       for (uint32_t i = 0; i < m; ++i) {
-        const graph::VertexId v = part.members[i];
-        next[i] = (b[v] + acc[i] + part.ext[i]) * part.inv_diag[i];
+        const graph::VertexId v = part_plan.members[i];
+        next[i] = (b[v] + acc[i] + part.ext.values[i]) * part.inv_diag[i];
         sweep_residual = std::max(sweep_residual, std::abs(next[i] - part.x[i]));
       }
       part.x.swap(next);
-      ops += part.internal_edges + 2 * m;
+      ops += part_plan.internal_edges() + 2 * m;
       if (sweep_residual < config.local_tolerance) break;
     }
 
@@ -473,21 +421,17 @@ JacobiResult AsyncJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
     ctx.set_residual(residual);
 
     // Push refreshed boundary row sums, delta-filtered.
-    for (size_t b_idx = 0; b_idx < part.boundary.size(); ++b_idx) {
-      const auto& group = part.boundary[b_idx];
-      for (size_t e = 0; e < group.edges.size();) {
-        const graph::VertexId t = group.edges[e].first;
-        double sum = 0.0;
-        for (; e < group.edges.size() && group.edges[e].first == t; ++e) {
-          sum += part.x[group.edges[e].second];
-        }
-        double& sent = part.last_sent[b_idx][t];
-        if (std::abs(sum - sent) > send_eps) {
-          ctx.Emit(group.peer, JacBoundaryUpdate{t, sum});
-          sent = sum;
+    for (size_t bg = 0; bg < part_plan.out.size(); ++bg) {
+      const BoundaryPlan::OutGroup& group = part_plan.out[bg];
+      std::vector<double>& sent = last_sent.sent(p, bg);
+      for (size_t j = 0; j < group.targets.size(); ++j) {
+        const double sum = group.RunSum(j, [&](uint32_t i) { return part.x[i]; });
+        if (std::abs(sum - sent[j]) > send_eps) {
+          ctx.Emit(group.peer, JacBoundaryUpdate{group.targets[j], sum});
+          sent[j] = sum;
         }
       }
-      ops += group.edges.size();
+      ops += group.num_edges();
     }
     ctx.AddOps(ops);
   });
@@ -499,28 +443,23 @@ JacobiResult AsyncJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
     async::ForEachUpdate<JacBoundaryUpdate>(batch, [&](const JacBoundaryUpdate& u) {
       const auto put = part.store.Put(from, u.vertex, u.sum, from_clock, from_epoch);
       if (!put.applied) return;  // out-of-order stale delivery
-      part.ext[part.local_index.at(u.vertex)] += u.sum - put.replaced.value_or(0.0);
+      part.ext.Replace(plan.LocalIndex(p, u.vertex), put.replaced.value_or(0.0),
+                       u.sum);
     });
   });
 
   engine.set_snapshot([&](uint32_t p, serde::Writer& w) {
     const AsyncJacPartition& part = parts[p];
     serde::Serde<std::vector<double>>::Write(w, part.x);
-    serde::Serde<std::vector<double>>::Write(w, part.ext);
+    serde::Serde<std::vector<double>>::Write(w, part.ext.values);
     part.store.SnapshotTo(w);
   });
   engine.set_restore([&](uint32_t p, serde::Reader& r) {
     AsyncJacPartition& part = parts[p];
     AMR_CHECK(serde::Serde<std::vector<double>>::Read(r, part.x).ok());
-    AMR_CHECK(serde::Serde<std::vector<double>>::Read(r, part.ext).ok());
+    AMR_CHECK(serde::Serde<std::vector<double>>::Read(r, part.ext.values).ok());
     AMR_CHECK(part.store.RestoreFrom(r).ok());
-    for (size_t bg = 0; bg < part.boundary.size(); ++bg) force_resend(part, bg);
-  });
-  engine.set_on_peer_restart([&](uint32_t q, uint32_t restarted) {
-    AsyncJacPartition& part = parts[q];
-    for (size_t bg = 0; bg < part.boundary.size(); ++bg) {
-      if (part.boundary[bg].peer == restarted) force_resend(part, bg);
-    }
+    last_sent.ResendAll(p);
   });
 
   async::AsyncResult engine_result = engine.Run();
@@ -529,10 +468,15 @@ JacobiResult AsyncJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
   JacobiResult result;
   result.x.assign(n, 0.0);
   for (uint32_t p = 0; p < num_parts; ++p) {
-    for (uint32_t i = 0; i < parts[p].members.size(); ++i) {
-      result.x[parts[p].members[i]] = parts[p].x[i];
+    for (uint32_t i = 0; i < parts[p].x.size(); ++i) {
+      result.x[plan.parts[p].members[i]] = parts[p].x[i];
     }
   }
+  AMR_IF_AUDIT(if (engine_result.converged) {
+    AuditWithheldSums(
+        plan, parts, config.tolerance,
+        [](const AsyncJacPartition& part, uint32_t i) { return part.x[i]; });
+  })
   result.converged = engine_result.converged;
   result.trace = AsyncRunTrace("async-jacobi", engine_result);
   result.residual_inf = JacobiResidual(g_sym, b, result.x);

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <optional>
-#include <unordered_map>
 
 #include "apps/app_common.hpp"
 #include "core/partial_sync_job.hpp"
@@ -352,45 +350,11 @@ namespace {
 
 /// Per-partition worker state for the asynchronous engine.
 struct AsyncPrPartition {
-  std::vector<graph::VertexId> members;
-  std::unordered_map<graph::VertexId, uint32_t> local_index;
-  // Internal adjacency in local indices (paper: the partition's sub-graph).
-  std::vector<std::vector<uint32_t>> internal_targets;
   std::vector<double> inv_outdeg;  // per member
-  uint64_t internal_edges = 0;
-  // Boundary out-edges grouped by consuming partition, as (target, source
-  // local index) sorted by target so per-target sums accumulate in one pass.
-  struct BoundaryGroup {
-    uint32_t peer = 0;
-    std::vector<std::pair<graph::VertexId, uint32_t>> edges;
-  };
-  std::vector<BoundaryGroup> boundary;
-
-  std::vector<double> ranks;  // per member
-  std::vector<double> ext;    // per member: summed external contributions
+  std::vector<double> ranks;       // per member
+  ExternalSums ext;                // summed external contributions
   async::StateStore<double> store;  // latest contribution per (sender, vertex)
-  // Delta filter per boundary group: last value pushed for each target.
-  std::vector<std::unordered_map<graph::VertexId, double>> last_sent;
 };
-
-/// Folds one target-sorted boundary edge group into per-target contribution
-/// sums: calls sink(target, sum of contrib(source local index)) once per
-/// distinct target. Seeding and the per-iteration push must group and sum
-/// identically or the senders' delta filters desynchronize from the
-/// receivers' state.
-template <typename ContribFn, typename SinkFn>
-void ForEachBoundaryTargetSum(
-    const std::vector<std::pair<graph::VertexId, uint32_t>>& edges,
-    ContribFn contrib, SinkFn sink) {
-  for (size_t e = 0; e < edges.size();) {
-    const graph::VertexId t = edges[e].first;
-    double sum = 0.0;
-    for (; e < edges.size() && edges[e].first == t; ++e) {
-      sum += contrib(edges[e].second);
-    }
-    sink(t, sum);
-  }
-}
 
 }  // namespace
 
@@ -404,66 +368,46 @@ PageRankResult AsyncPageRank(cluster::SimCluster& cluster, const graph::Digraph&
   // Contribution changes smaller than this are not re-pushed. A receiver can
   // accumulate one withheld delta per in-peer, so the threshold scales down
   // with the partition count to keep the total silenced error under half the
-  // global tolerance regardless of fan-in.
+  // global tolerance regardless of fan-in (AuditWithheldSums checks it).
   const double send_eps =
       config.tolerance * 0.5 / std::max(1u, partitioning.num_parts);
-  const auto members = partitioning.Members();
+  const BoundaryPlan plan = BoundaryPlan::Build(g, partitioning);
+  // Re-announcement pushes every target unconditionally: a cleared filter is
+  // NOT enough, since a sum within send_eps of zero would stay silent while
+  // the peer holds a stale dead-epoch value for it.
+  DeltaFilter<double> last_sent(plan, 0.0, std::numeric_limits<double>::infinity());
 
   std::vector<AsyncPrPartition> parts(num_parts);
-  std::vector<std::vector<uint32_t>> in_peers(num_parts);
-
   for (uint32_t p = 0; p < num_parts; ++p) {
     AsyncPrPartition& part = parts[p];
-    part.members = members[p];
-    const uint32_t m = static_cast<uint32_t>(part.members.size());
-    part.local_index.reserve(m * 2);
-    for (uint32_t i = 0; i < m; ++i) part.local_index.emplace(part.members[i], i);
-    part.internal_targets.resize(m);
-    part.inv_outdeg.resize(m);
-    part.ranks.assign(m, 1.0);
-    part.ext.assign(m, 0.0);
-
-    std::map<uint32_t, std::vector<std::pair<graph::VertexId, uint32_t>>> boundary;
-    for (uint32_t i = 0; i < m; ++i) {
-      const graph::VertexId u = part.members[i];
-      const uint32_t deg = g.OutDegree(u);
+    const auto& members = plan.parts[p].members;
+    part.inv_outdeg.resize(members.size());
+    for (size_t i = 0; i < members.size(); ++i) {
+      const uint32_t deg = g.OutDegree(members[i]);
       part.inv_outdeg[i] = deg > 0 ? 1.0 / deg : 0.0;
-      for (graph::VertexId t : g.OutNeighbors(u)) {
-        const uint32_t q = partitioning.part_of[t];
-        if (q == p) {
-          part.internal_targets[i].push_back(part.local_index.at(t));
-          ++part.internal_edges;
-        } else {
-          boundary[q].emplace_back(t, i);
-        }
-      }
     }
-    for (auto& [q, edges] : boundary) {
-      std::sort(edges.begin(), edges.end());
-      part.boundary.push_back({q, std::move(edges)});
-      in_peers[q].push_back(p);
-    }
-    part.last_sent.resize(part.boundary.size());
+    part.ranks.assign(members.size(), 1.0);
+    part.ext.values.assign(members.size(), 0.0);
+    part.store = async::StateStore<double>(plan.parts[p].in_peers);
   }
 
   // Seed external contributions from the initial all-ones ranks so iteration
   // one starts from the same state a synchronized round zero would, and the
   // delta filters agree with the receivers' seeded views.
   for (uint32_t p = 0; p < num_parts; ++p) {
-    parts[p].store = async::StateStore<double>(in_peers[p]);
-  }
-  for (uint32_t p = 0; p < num_parts; ++p) {
-    AsyncPrPartition& part = parts[p];
-    for (size_t b = 0; b < part.boundary.size(); ++b) {
-      AsyncPrPartition& peer = parts[part.boundary[b].peer];
-      ForEachBoundaryTargetSum(
-          part.boundary[b].edges,
-          [&](uint32_t i) { return part.inv_outdeg[i]; },  // rank 1.0
-          [&](graph::VertexId t, double sum) {
-            part.last_sent[b].emplace(t, sum);
-            peer.store.Put(p, t, sum, /*clock=*/0);
-            peer.ext[peer.local_index.at(t)] += sum;
-          });
+    const AsyncPrPartition& part = parts[p];
+    for (size_t b = 0; b < plan.parts[p].out.size(); ++b) {
+      const BoundaryPlan::OutGroup& group = plan.parts[p].out[b];
+      AsyncPrPartition& peer = parts[group.peer];
+      std::vector<double>& sent = last_sent.sent(p, b);
+      for (size_t j = 0; j < group.targets.size(); ++j) {
+        // Every rank is 1.0, so each contribution is just inv_outdeg.
+        const double sum =
+            group.RunSum(j, [&](uint32_t i) { return part.inv_outdeg[i]; });
+        sent[j] = sum;
+        peer.store.Put(p, group.targets[j], sum, /*clock=*/0);
+        peer.ext.Replace(plan.local_of[group.targets[j]], 0.0, sum);
+      }
     }
   }
 
@@ -477,26 +421,12 @@ PageRankResult AsyncPageRank(cluster::SimCluster& cluster, const graph::Digraph&
   engine_config.name = config.job_prefix + "-async";
   async::AsyncEngine engine(cluster, num_parts, engine_config);
 
-  // Marks every target of one boundary group for unconditional re-send: the
-  // recovery protocol's re-announcement (a cleared filter is NOT enough — a
-  // sum whose current value sits within send_eps of zero would stay silent
-  // while the peer holds a stale dead-epoch value for it).
-  auto force_resend = [](AsyncPrPartition& part, size_t b) {
-    constexpr double kResend = std::numeric_limits<double>::infinity();
-    for (const auto& [target, source] : part.boundary[b].edges) {
-      part.last_sent[b][target] = kResend;
-    }
-  };
-
-  engine.set_out_peers([&](uint32_t p) {
-    std::vector<uint32_t> peers;
-    for (const auto& group : parts[p].boundary) peers.push_back(group.peer);
-    return peers;
-  });
+  AttachBoundary(engine, plan, last_sent);
 
   engine.set_compute([&](uint32_t p, async::AsyncContext& ctx) {
     AsyncPrPartition& part = parts[p];
-    const uint32_t m = static_cast<uint32_t>(part.members.size());
+    const BoundaryPlan::Part& part_plan = plan.parts[p];
+    const auto m = static_cast<uint32_t>(part_plan.members.size());
     if (m == 0) return;
     const std::vector<double> before = part.ranks;
     uint64_t ops = 0;
@@ -509,15 +439,15 @@ PageRankResult AsyncPageRank(cluster::SimCluster& cluster, const graph::Digraph&
       std::fill(acc.begin(), acc.end(), 0.0);
       for (uint32_t i = 0; i < m; ++i) {
         const double c = part.ranks[i] * part.inv_outdeg[i];
-        for (uint32_t t : part.internal_targets[i]) acc[t] += c;
+        for (uint32_t t : part_plan.Internal(i)) acc[t] += c;
       }
       double sweep_residual = 0.0;
       for (uint32_t i = 0; i < m; ++i) {
-        next[i] = (1.0 - chi) + chi * (acc[i] + part.ext[i]);
+        next[i] = (1.0 - chi) + chi * (acc[i] + part.ext.values[i]);
         sweep_residual = std::max(sweep_residual, std::abs(next[i] - part.ranks[i]));
       }
       part.ranks.swap(next);
-      ops += part.internal_edges + 2 * m;
+      ops += part_plan.internal_edges() + 2 * m;
       if (sweep_residual < config.local_tolerance) break;
     }
 
@@ -528,18 +458,18 @@ PageRankResult AsyncPageRank(cluster::SimCluster& cluster, const graph::Digraph&
     ctx.set_residual(residual);
 
     // Push refreshed boundary contributions, delta-filtered.
-    for (size_t b = 0; b < part.boundary.size(); ++b) {
-      ForEachBoundaryTargetSum(
-          part.boundary[b].edges,
-          [&](uint32_t i) { return part.ranks[i] * part.inv_outdeg[i]; },
-          [&](graph::VertexId t, double sum) {
-            double& sent = part.last_sent[b][t];
-            if (std::abs(sum - sent) > send_eps) {
-              ctx.Emit(part.boundary[b].peer, PrBoundaryUpdate{t, sum});
-              sent = sum;
-            }
-          });
-      ops += part.boundary[b].edges.size();
+    for (size_t b = 0; b < part_plan.out.size(); ++b) {
+      const BoundaryPlan::OutGroup& group = part_plan.out[b];
+      std::vector<double>& sent = last_sent.sent(p, b);
+      for (size_t j = 0; j < group.targets.size(); ++j) {
+        const double sum = group.RunSum(
+            j, [&](uint32_t i) { return part.ranks[i] * part.inv_outdeg[i]; });
+        if (std::abs(sum - sent[j]) > send_eps) {
+          ctx.Emit(group.peer, PrBoundaryUpdate{group.targets[j], sum});
+          sent[j] = sum;
+        }
+      }
+      ops += group.num_edges();
     }
     ctx.AddOps(ops);
   });
@@ -552,31 +482,23 @@ PageRankResult AsyncPageRank(cluster::SimCluster& cluster, const graph::Digraph&
       const auto put =
           part.store.Put(from, u.vertex, u.contribution, from_clock, from_epoch);
       if (!put.applied) return;  // out-of-order stale delivery
-      part.ext[part.local_index.at(u.vertex)] +=
-          u.contribution - put.replaced.value_or(0.0);
+      part.ext.Replace(plan.LocalIndex(p, u.vertex), put.replaced.value_or(0.0),
+                       u.contribution);
     });
   });
 
   engine.set_snapshot([&](uint32_t p, serde::Writer& w) {
     const AsyncPrPartition& part = parts[p];
     serde::Serde<std::vector<double>>::Write(w, part.ranks);
-    serde::Serde<std::vector<double>>::Write(w, part.ext);
+    serde::Serde<std::vector<double>>::Write(w, part.ext.values);
     part.store.SnapshotTo(w);
   });
   engine.set_restore([&](uint32_t p, serde::Reader& r) {
     AsyncPrPartition& part = parts[p];
     AMR_CHECK(serde::Serde<std::vector<double>>::Read(r, part.ranks).ok());
-    AMR_CHECK(serde::Serde<std::vector<double>>::Read(r, part.ext).ok());
+    AMR_CHECK(serde::Serde<std::vector<double>>::Read(r, part.ext.values).ok());
     AMR_CHECK(part.store.RestoreFrom(r).ok());
-    // Re-announce everything: the receivers' views of this partition belong
-    // to the dead epoch.
-    for (size_t b = 0; b < part.boundary.size(); ++b) force_resend(part, b);
-  });
-  engine.set_on_peer_restart([&](uint32_t q, uint32_t restarted) {
-    AsyncPrPartition& part = parts[q];
-    for (size_t b = 0; b < part.boundary.size(); ++b) {
-      if (part.boundary[b].peer == restarted) force_resend(part, b);
-    }
+    last_sent.ResendAll(p);
   });
 
   async::AsyncResult engine_result = engine.Run();
@@ -585,10 +507,16 @@ PageRankResult AsyncPageRank(cluster::SimCluster& cluster, const graph::Digraph&
   PageRankResult result;
   result.ranks.assign(n, 1.0);
   for (uint32_t p = 0; p < num_parts; ++p) {
-    for (uint32_t i = 0; i < parts[p].members.size(); ++i) {
-      result.ranks[parts[p].members[i]] = parts[p].ranks[i];
+    for (uint32_t i = 0; i < parts[p].ranks.size(); ++i) {
+      result.ranks[plan.parts[p].members[i]] = parts[p].ranks[i];
     }
   }
+  AMR_IF_AUDIT(if (engine_result.converged) {
+    AuditWithheldSums(plan, parts, config.tolerance,
+                      [](const AsyncPrPartition& part, uint32_t i) {
+                        return part.ranks[i] * part.inv_outdeg[i];
+                      });
+  })
   result.converged = engine_result.converged;
   result.trace = AsyncRunTrace("async-pagerank", engine_result);
   return result;

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <queue>
-#include <tuple>
-#include <unordered_map>
 
 #include "apps/app_common.hpp"
 #include "core/partial_sync_job.hpp"
@@ -349,62 +346,19 @@ SsspResult EagerSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
 // Async SSSP: chaotic relaxation on async::AsyncEngine.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Per-partition worker state for the asynchronous engine.
-struct AsyncSsspPartition {
-  std::vector<graph::VertexId> members;
-  // Internal weighted adjacency: per member, (target vertex, weight).
-  std::vector<std::vector<std::pair<graph::VertexId, double>>> internal;
-  uint64_t internal_edges = 0;
-  // Boundary out-edges grouped by consuming partition: (source, target, w).
-  struct BoundaryGroup {
-    uint32_t peer = 0;
-    std::vector<std::tuple<graph::VertexId, graph::VertexId, double>> edges;
-  };
-  std::vector<BoundaryGroup> boundary;
-  // Best candidate already pushed per boundary target (monotone decreasing).
-  std::vector<std::unordered_map<graph::VertexId, double>> best_sent;
-};
-
-}  // namespace
-
 SsspResult AsyncSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
                      const graph::Partitioning& partitioning,
                      const SsspConfig& config, uint32_t staleness,
                      async::AsyncResult* engine_stats) {
   const uint32_t n = g.num_vertices();
   const uint32_t num_parts = partitioning.num_parts;
-  const auto members = partitioning.Members();
-
-  std::vector<AsyncSsspPartition> parts(num_parts);
-  for (uint32_t p = 0; p < num_parts; ++p) {
-    AsyncSsspPartition& part = parts[p];
-    part.members = members[p];
-    part.internal.resize(part.members.size());
-    std::map<uint32_t,
-             std::vector<std::tuple<graph::VertexId, graph::VertexId, double>>>
-        boundary;
-    for (size_t i = 0; i < part.members.size(); ++i) {
-      const graph::VertexId u = part.members[i];
-      const auto neighbors = g.OutNeighbors(u);
-      const auto weights = g.OutWeights(u);
-      for (size_t e = 0; e < neighbors.size(); ++e) {
-        const graph::VertexId t = neighbors[e];
-        const double w = EdgeWeight(weights, e);
-        if (partitioning.part_of[t] == p) {
-          part.internal[i].emplace_back(t, w);
-          ++part.internal_edges;
-        } else {
-          boundary[partitioning.part_of[t]].emplace_back(u, t, w);
-        }
-      }
-    }
-    for (auto& [q, edges] : boundary) {
-      part.boundary.push_back({q, std::move(edges)});
-    }
-    part.best_sent.resize(part.boundary.size());
-  }
+  const BoundaryPlan plan = BoundaryPlan::Build(g, partitioning);
+  // Best candidate already pushed per boundary target (monotone decreasing);
+  // +inf means never sent. Re-announcement refills +inf so every candidate is
+  // pushed again: distances only shrink, so dead-epoch facts a crashed worker
+  // pushed remain true, but the restarted worker itself rolled back to older
+  // (larger) distances and needs its in-peers' candidates again.
+  DeltaFilter<double> best_sent(plan, kInfDistance, kInfDistance);
 
   SsspResult result;
   if (config.initial_distances.empty()) {
@@ -427,25 +381,11 @@ SsspResult AsyncSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
   engine_config.name = config.job_prefix + "-async";
   async::AsyncEngine engine(cluster, num_parts, engine_config);
 
-  // Recovery re-announcement: marks one boundary group's best-sent cache so
-  // every candidate is re-pushed. Distances only shrink, so dead-epoch facts
-  // a crashed worker pushed remain true — but the restarted worker itself
-  // rolled back to older (larger) distances and needs its in-peers'
-  // candidates again.
-  auto force_resend = [](AsyncSsspPartition& part, size_t b) {
-    for (auto& [target, best] : part.best_sent[b]) {
-      best = std::numeric_limits<double>::infinity();
-    }
-  };
-
-  engine.set_out_peers([&](uint32_t p) {
-    std::vector<uint32_t> peers;
-    for (const auto& group : parts[p].boundary) peers.push_back(group.peer);
-    return peers;
-  });
+  AttachBoundary(engine, plan, best_sent);
 
   engine.set_compute([&](uint32_t p, async::AsyncContext& ctx) {
-    AsyncSsspPartition& part = parts[p];
+    const BoundaryPlan::Part& part = plan.parts[p];
+    const auto m = static_cast<uint32_t>(part.members.size());
     uint64_t ops = 0;
     uint64_t changed = 0;
 
@@ -453,37 +393,40 @@ SsspResult AsyncSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
     // partition's sub-graph are settled before anything is pushed.
     for (uint32_t sweep = 0; sweep < config.max_local_iterations; ++sweep) {
       uint64_t sweep_changed = 0;
-      for (size_t i = 0; i < part.members.size(); ++i) {
+      for (uint32_t i = 0; i < m; ++i) {
         const double d = dist[part.members[i]];
         if (d == kInfDistance) continue;
-        for (const auto& [t, w] : part.internal[i]) {
-          if (d + w < dist[t] - kEps) {
-            dist[t] = d + w;
+        for (uint32_t e = part.internal_offsets[i]; e < part.internal_offsets[i + 1];
+             ++e) {
+          double& dt = dist[part.members[part.internal_targets[e]]];
+          const double w = EdgeWeight(part.internal_weights, e);
+          if (d + w < dt - kEps) {
+            dt = d + w;
             ++sweep_changed;
           }
         }
       }
-      ops += part.internal_edges + part.members.size();
+      ops += part.internal_edges() + m;
       changed += sweep_changed;
       if (sweep_changed == 0) break;
     }
     ctx.set_residual(static_cast<double>(changed));
 
-    // Push improved cross-partition candidates only.
-    for (size_t b = 0; b < part.boundary.size(); ++b) {
-      const auto& group = part.boundary[b];
-      for (const auto& [u, t, w] : group.edges) {
-        const double d = dist[u];
-        if (d == kInfDistance) continue;
-        const double cand = d + w;
-        auto [it, inserted] = part.best_sent[b].try_emplace(t, cand);
-        if (!inserted) {
-          if (cand >= it->second - kEps) continue;
-          it->second = cand;
+    // Push improved cross-partition candidates only, one per cut edge.
+    for (size_t b = 0; b < part.out.size(); ++b) {
+      const BoundaryPlan::OutGroup& group = part.out[b];
+      std::vector<double>& sent = best_sent.sent(p, b);
+      for (size_t j = 0; j < group.targets.size(); ++j) {
+        for (uint32_t e = group.run_begin[j]; e < group.run_begin[j + 1]; ++e) {
+          const double d = dist[part.members[group.sources[e]]];
+          if (d == kInfDistance) continue;
+          const double cand = d + EdgeWeight(group.weights, e);
+          if (cand >= sent[j] - kEps) continue;
+          sent[j] = cand;
+          ctx.Emit(group.peer, SsspCandidateUpdate{group.targets[j], cand});
         }
-        ctx.Emit(group.peer, SsspCandidateUpdate{t, cand});
       }
-      ops += group.edges.size();
+      ops += group.num_edges();
     }
     ctx.AddOps(ops);
   });
@@ -501,25 +444,19 @@ SsspResult AsyncSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
   // Worker state is this partition's slice of the distance vector (apply
   // only ever writes boundary targets inside the receiving partition).
   engine.set_snapshot([&](uint32_t p, serde::Writer& w) {
-    const AsyncSsspPartition& part = parts[p];
+    const auto& members = plan.parts[p].members;
     std::vector<double> slice;
-    slice.reserve(part.members.size());
-    for (graph::VertexId v : part.members) slice.push_back(dist[v]);
+    slice.reserve(members.size());
+    for (graph::VertexId v : members) slice.push_back(dist[v]);
     serde::Serde<std::vector<double>>::Write(w, slice);
   });
   engine.set_restore([&](uint32_t p, serde::Reader& r) {
-    AsyncSsspPartition& part = parts[p];
+    const auto& members = plan.parts[p].members;
     std::vector<double> slice;
     AMR_CHECK(serde::Serde<std::vector<double>>::Read(r, slice).ok());
-    AMR_CHECK_EQ(slice.size(), part.members.size());
-    for (size_t i = 0; i < slice.size(); ++i) dist[part.members[i]] = slice[i];
-    for (size_t b = 0; b < part.boundary.size(); ++b) force_resend(part, b);
-  });
-  engine.set_on_peer_restart([&](uint32_t q, uint32_t restarted) {
-    AsyncSsspPartition& part = parts[q];
-    for (size_t b = 0; b < part.boundary.size(); ++b) {
-      if (part.boundary[b].peer == restarted) force_resend(part, b);
-    }
+    AMR_CHECK_EQ(slice.size(), members.size());
+    for (size_t i = 0; i < slice.size(); ++i) dist[members[i]] = slice[i];
+    best_sent.ResendAll(p);
   });
 
   async::AsyncResult engine_result = engine.Run();

@@ -9,6 +9,31 @@
 
 namespace asyncmr::async {
 
+namespace {
+
+/// Sender-side retry for update batches whose flow FAILED (dropped by a lossy
+/// link, killed/timed out by a partition). Attempt k waits
+/// min(kRetryBackoffBaseS * 2^k, kRetryBackoffMaxS) * (1 + jitter), jitter
+/// uniform in [0, kRetryJitterFrac). After kMaxBatchRetries total attempts
+/// the batch is abandoned and the sender's delta filter is forced to
+/// re-announce toward that peer instead (the same repair path a peer restart
+/// uses), so no update is ever silently lost. Retries draw RNG and schedule
+/// events only when a flow actually fails: with all link-fault knobs off, no
+/// batch ever fails and runs stay bit-identical.
+constexpr uint32_t kMaxBatchRetries = 16;
+constexpr double kRetryBackoffBaseS = 0.05;
+constexpr double kRetryBackoffMaxS = 10.0;
+constexpr double kRetryJitterFrac = 0.2;
+
+/// Upper clamp of the adaptive inter-circuit pause (see
+/// EngineTuning::adaptive_token_backoff).
+constexpr double kTokenBackoffMaxS = 30.0;
+
+/// Workers lease map slots, like the map waves they replace.
+constexpr cluster::SlotType kWorkerSlot = cluster::SlotType::kMap;
+
+}  // namespace
+
 AsyncEngine::AsyncEngine(cluster::SimCluster& cluster, uint32_t num_partitions,
                          AsyncConfig config)
     : cluster_(cluster),
@@ -145,7 +170,7 @@ void AsyncEngine::TryStartIteration(uint32_t p) {
   w.phase = WorkerPhase::kWaitingSlot;
   const uint32_t epoch = w.epoch;
   const net::NodeId node = w.node;
-  cluster_.AcquireSlot(node, config_.slot_type,
+  cluster_.AcquireSlot(node, kWorkerSlot,
                        [this, p, epoch, node] { BeginCompute(p, epoch, node); });
 }
 
@@ -153,7 +178,7 @@ void AsyncEngine::BeginCompute(uint32_t p, uint32_t epoch,
                                net::NodeId grant_node) {
   Worker& w = workers_[p];
   if (finished_) {
-    cluster_.ReleaseSlot(grant_node, config_.slot_type);
+    cluster_.ReleaseSlot(grant_node, kWorkerSlot);
     return;
   }
   if (w.epoch != epoch || w.phase != WorkerPhase::kWaitingSlot) {
@@ -161,7 +186,7 @@ void AsyncEngine::BeginCompute(uint32_t p, uint32_t epoch,
     // replacement — possibly relocated to another node — may already hold or
     // await another slot): the grant goes straight back to the node that
     // made it.
-    cluster_.ReleaseSlot(grant_node, config_.slot_type);
+    cluster_.ReleaseSlot(grant_node, kWorkerSlot);
     return;
   }
   // Live path: relocation always bumps the epoch, so the guard above proves
@@ -242,7 +267,7 @@ void AsyncEngine::FinishCompute(uint32_t p, uint32_t epoch, uint64_t ops,
     // it (nothing was sent yet) and CrashWorker already freed the slot.
     return;
   }
-  cluster_.ReleaseSlot(w.node, config_.slot_type);
+  cluster_.ReleaseSlot(w.node, kWorkerSlot);
   ++w.iterations;
   w.stats.ops += ops;
   w.stats.merge_ops += merge_ops;
@@ -425,14 +450,13 @@ void AsyncEngine::OnFlowFailed(uint32_t p, size_t peer_index,
   if (finished_) return;
   if (w.epoch != epoch) return;  // dead incarnation; its restore re-announces
   const uint32_t q = send_peers_[p][peer_index];
-  if (attempt + 1 < config_.tuning.max_batch_retries) {
+  if (attempt + 1 < kMaxBatchRetries) {
     // Exponential backoff with jitter; the jitter draw happens only on an
     // actual retry, so fault-free runs never touch the RNG stream.
-    const EngineTuning& t = config_.tuning;
     double backoff = std::min(
-        t.retry_backoff_base_s * std::pow(2.0, static_cast<double>(attempt)),
-        t.retry_backoff_max_s);
-    backoff *= 1.0 + t.retry_jitter_frac * cluster_.rng().NextDouble();
+        kRetryBackoffBaseS * std::pow(2.0, static_cast<double>(attempt)),
+        kRetryBackoffMaxS);
+    backoff *= 1.0 + kRetryJitterFrac * cluster_.rng().NextDouble();
     ++w.stats.batch_retries;
     w.stats.retry_backoff_seconds += backoff;
     ++w.pending_retries;
@@ -645,7 +669,7 @@ void AsyncEngine::FenceWorker(uint32_t p) {
     // Process death frees the slot immediately; the scheduled FinishCompute
     // sees the epoch bump and drops out. A kWaitingSlot grant returns its
     // slot when it fires (BeginCompute's epoch guard).
-    cluster_.ReleaseSlot(w.node, config_.slot_type);
+    cluster_.ReleaseSlot(w.node, kWorkerSlot);
   }
   w.phase = WorkerPhase::kDown;
   w.pending_input = false;
@@ -1361,7 +1385,7 @@ void AsyncEngine::CompleteCircuit(const ProgressToken& token) {
     // the control plane at any partition count.
     backoff = std::clamp(
         cluster_.now() - circuit_start_time_, config_.tuning.token_backoff_s,
-        std::max(config_.tuning.token_backoff_s, config_.token_backoff_max_s));
+        std::max(config_.tuning.token_backoff_s, kTokenBackoffMaxS));
   }
   cluster_.queue().ScheduleAfter(backoff, [this] {
     if (!finished_) StartCircuit();

@@ -147,31 +147,19 @@ struct EngineTuning {
   /// has a flow in flight, which already holds sent > received.
   bool coalesce_batches = false;
   /// Adaptive inter-circuit pause: back off by the previous circuit's own
-  /// (virtual) duration, clamped to [token_backoff_s,
-  /// AsyncConfig::token_backoff_max_s]. A circuit is P sequential RPC hops,
-  /// so at P in the thousands a fixed small backoff keeps the ring saturated
-  /// with control traffic; scaling the pause to the measured circuit time
-  /// bounds token overhead at ~50% of the RPC path regardless of P,
-  /// deterministically (virtual time only).
+  /// (virtual) duration, clamped to [token_backoff_s, 30 s]. A circuit is P
+  /// sequential RPC hops, so at P in the thousands a fixed small backoff
+  /// keeps the ring saturated with control traffic; scaling the pause to the
+  /// measured circuit time bounds token overhead at ~50% of the RPC path
+  /// regardless of P, deterministically (virtual time only).
   bool adaptive_token_backoff = false;
   /// Pause between termination-token circuits that fail to prove termination
   /// (the base, and in adaptive mode the minimum, inter-circuit pause).
   double token_backoff_s = 0.25;
 
   // --- robustness under adversarial networks --------------------------------
-  /// Sender-side retry for update batches whose flow FAILED (dropped by a
-  /// lossy link, killed/timed out by a partition). Attempt k waits
-  /// min(retry_backoff_base_s * 2^k, retry_backoff_max_s) * (1 + jitter),
-  /// jitter uniform in [0, retry_jitter_frac). After max_batch_retries total
-  /// attempts the batch is abandoned and the sender's delta filter is forced
-  /// to re-announce toward that peer instead (the same repair path a peer
-  /// restart uses), so no update is ever silently lost. Retries draw RNG and
-  /// schedule events only when a flow actually fails: with all link-fault
-  /// knobs off, no batch ever fails and runs stay bit-identical.
-  uint32_t max_batch_retries = 16;
-  double retry_backoff_base_s = 0.05;
-  double retry_backoff_max_s = 10.0;
-  double retry_jitter_frac = 0.2;
+  // (Failed update batches are retried on a fixed backoff schedule; see
+  // AsyncEngine::OnFlowFailed.)
   /// Bounded-staleness peer suspicion (0 = disabled, and irrelevant under
   /// unbounded staleness): a worker gate-blocked for longer than this
   /// suspects every peer whose clock is below the gate's need and stops
@@ -235,9 +223,6 @@ struct AsyncConfig {
   /// Compute-time multiplier (models intra-worker thread pools, like
   /// gmap_time_scale).
   double compute_time_scale = 1.0;
-  /// Upper clamp of the adaptive inter-circuit pause (see
-  /// EngineTuning::adaptive_token_backoff).
-  double token_backoff_max_s = 30.0;
   /// Transport, termination and fault knobs (see EngineTuning).
   EngineTuning tuning;
   /// Completed iterations between worker checkpoints (0 = only the free
@@ -247,7 +232,6 @@ struct AsyncConfig {
   /// (see checkpoint.hpp): they never perturb the failure-free timeline, but
   /// a crash can only restore a snapshot whose DFS write had completed.
   uint32_t checkpoint_interval = 8;
-  cluster::SlotType slot_type = cluster::SlotType::kMap;
   std::string name = "async";
 };
 
@@ -345,7 +329,7 @@ struct WorkerStats {
   double downtime_seconds = 0.0;
   /// Robustness counters: outgoing flows that failed (dropped/killed/timed
   /// out), retry attempts launched for them, total backoff waited before
-  /// those retries, and batches abandoned after max_batch_retries (each one
+  /// those retries, and batches abandoned after kMaxBatchRetries (each one
   /// repaired by a forced re-announcement instead).
   uint64_t flow_drops = 0;
   uint64_t batch_retries = 0;
@@ -605,7 +589,7 @@ class AsyncEngine {
                 uint32_t epoch, uint32_t attempt);
   /// Terminal failure of one wire attempt: self-acks the batch (Safra sums
   /// balance like a delivery), then either schedules a backoff retry or, at
-  /// max_batch_retries, abandons and forces a re-announcement toward the peer.
+  /// kMaxBatchRetries, abandons and forces a re-announcement toward the peer.
   void OnFlowFailed(uint32_t p, size_t peer_index,
                     std::shared_ptr<UpdateBatch> payload, uint32_t clock,
                     uint32_t epoch, uint32_t attempt);

@@ -1,13 +1,18 @@
 // Unit tests: the shared app helpers — DenseAccumulator against a std::map
-// reference.
+// reference, and BoundaryPlan / DeltaFilter against the per-app grouping
+// they replaced (std::map by peer, then a sort by target).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "apps/app_common.hpp"
 #include "common/rng.hpp"
+#include "graph/graph.hpp"
+#include "graph/partition.hpp"
 
 namespace asyncmr::apps {
 namespace {
@@ -80,6 +85,200 @@ TEST(DenseAccumulator, ReusedAccumulatorStartsFromZero) {
   acc.Min(0, 7.0);
   EXPECT_EQ(acc.touched_count(), 2u);
   EXPECT_EQ(acc.DrainSorted(), (Pairs{{0, 7.0}, {64, 0.25}}));
+}
+
+// --- BoundaryPlan --------------------------------------------------------------
+
+// A random multigraph over five partitions:
+//  * part 0 owns vertices [0, 10) and every edge touching them stays inside,
+//    so it has no cut edges in either direction;
+//  * parts 1-3 share the other vertices at random;
+//  * part 4 is empty.
+// Both blocks get self-loops and repeated edges (with distinct weights when
+// weighted), so runs hold several edges from one source.
+struct PlanCase {
+  graph::Digraph g;
+  graph::Partitioning partitioning;
+};
+
+PlanCase RandomPlanCase(uint64_t seed, bool weighted) {
+  constexpr uint32_t kClosed = 10;
+  constexpr uint32_t kN = 70;
+  Rng rng(seed);
+  PlanCase c;
+  c.partitioning.num_parts = 5;
+  c.partitioning.part_of.resize(kN);
+  for (uint32_t v = 0; v < kN; ++v) {
+    c.partitioning.part_of[v] =
+        v < kClosed ? 0 : 1 + static_cast<uint32_t>(rng.NextBounded(3));
+  }
+  std::vector<graph::Edge> edges;
+  auto add = [&](uint32_t lo, uint32_t hi, size_t count) {
+    for (size_t k = 0; k < count; ++k) {
+      const auto u = static_cast<graph::VertexId>(lo + rng.NextBounded(hi - lo));
+      const auto t = rng.NextBool(0.1)
+                         ? u
+                         : static_cast<graph::VertexId>(lo + rng.NextBounded(hi - lo));
+      const double w = static_cast<double>(1 + rng.NextBounded(9));
+      edges.push_back({u, t, w});
+      if (rng.NextBool(0.2)) edges.push_back({u, t, w + 0.5});  // multi-edge
+    }
+  };
+  add(0, kClosed, 30);
+  add(kClosed, kN, 400);
+  c.g = graph::Digraph::FromEdges(kN, std::move(edges), weighted);
+  return c;
+}
+
+// (target, source local index, CSR position, weight): sorting by the whole
+// tuple is the old per-app `std::sort` of a source-major list, with the CSR
+// position breaking ties between repeated edges of one source.
+using RefEdge = std::tuple<graph::VertexId, uint32_t, uint64_t, double>;
+
+void CheckPlanAgainstReference(const PlanCase& c) {
+  const graph::Digraph& g = c.g;
+  const graph::Partitioning& partitioning = c.partitioning;
+  const BoundaryPlan plan = BoundaryPlan::Build(g, partitioning);
+  const auto members = partitioning.Members();
+  ASSERT_EQ(plan.parts.size(), partitioning.num_parts);
+  ASSERT_EQ(plan.local_of.size(), g.num_vertices());
+
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+    const auto& part = plan.parts[partitioning.part_of[v]];
+    ASSERT_LT(plan.local_of[v], part.members.size());
+    EXPECT_EQ(part.members[plan.local_of[v]], v);
+    EXPECT_EQ(plan.LocalIndex(partitioning.part_of[v], v), plan.local_of[v]);
+  }
+
+  for (uint32_t p = 0; p < partitioning.num_parts; ++p) {
+    const BoundaryPlan::Part& part = plan.parts[p];
+    EXPECT_EQ(part.members, members[p]);
+
+    std::vector<uint32_t> internal;
+    std::vector<double> internal_weights;
+    std::map<uint32_t, std::vector<RefEdge>> boundary;
+    ASSERT_EQ(part.internal_offsets.size(), part.members.size() + 1);
+    for (uint32_t i = 0; i < part.members.size(); ++i) {
+      const graph::VertexId u = part.members[i];
+      std::vector<uint32_t> row;
+      for (uint64_t e = g.offsets()[u]; e < g.offsets()[u + 1]; ++e) {
+        const graph::VertexId t = g.targets()[e];
+        const double w = g.weighted() ? g.weights()[e] : 1.0;
+        const uint32_t q = partitioning.part_of[t];
+        if (q == p) {
+          row.push_back(plan.local_of[t]);
+          if (g.weighted()) internal_weights.push_back(w);
+        } else {
+          boundary[q].emplace_back(t, i, e, w);
+        }
+      }
+      const auto span = part.Internal(i);
+      EXPECT_EQ(std::vector<uint32_t>(span.begin(), span.end()), row)
+          << "internal row of member " << i << " in part " << p;
+      internal.insert(internal.end(), row.begin(), row.end());
+    }
+    EXPECT_EQ(part.internal_targets, internal);
+    EXPECT_EQ(part.internal_weights, internal_weights);
+    EXPECT_EQ(part.internal_edges(), internal.size());
+
+    ASSERT_EQ(part.out.size(), boundary.size()) << "part " << p;
+    size_t b = 0;
+    for (auto& [q, edges] : boundary) {
+      std::sort(edges.begin(), edges.end());
+      const BoundaryPlan::OutGroup& group = part.out[b];
+      EXPECT_EQ(group.peer, q);  // std::map order: ascending peer
+      EXPECT_EQ(part.GroupTo(q), b);
+      ASSERT_EQ(group.run_begin.size(), group.targets.size() + 1);
+      EXPECT_EQ(group.run_begin.front(), 0u);
+      EXPECT_EQ(group.run_begin.back(), group.sources.size());
+      EXPECT_TRUE(std::is_sorted(group.targets.begin(), group.targets.end()));
+      EXPECT_EQ(std::adjacent_find(group.targets.begin(), group.targets.end()),
+                group.targets.end());
+      EXPECT_EQ(group.weights.size(), g.weighted() ? group.sources.size() : 0u);
+      std::vector<std::tuple<graph::VertexId, uint32_t, double>> flat, expected;
+      for (size_t j = 0; j < group.targets.size(); ++j) {
+        EXPECT_LT(group.run_begin[j], group.run_begin[j + 1]) << "empty run";
+        for (uint32_t e = group.run_begin[j]; e < group.run_begin[j + 1]; ++e) {
+          flat.emplace_back(group.targets[j], group.sources[e],
+                            g.weighted() ? group.weights[e] : 1.0);
+        }
+      }
+      for (const auto& [t, i, pos, w] : edges) expected.emplace_back(t, i, w);
+      EXPECT_EQ(flat, expected) << "runs of part " << p << " toward " << q;
+      ++b;
+    }
+    EXPECT_EQ(part.GroupTo(p), part.out.size());  // no group toward itself
+
+    EXPECT_TRUE(std::is_sorted(part.in_peers.begin(), part.in_peers.end()));
+    for (uint32_t q = 0; q < partitioning.num_parts; ++q) {
+      const bool sends = plan.parts[q].GroupTo(p) < plan.parts[q].out.size();
+      const bool listed =
+          std::find(part.in_peers.begin(), part.in_peers.end(), q) != part.in_peers.end();
+      EXPECT_EQ(sends, listed) << q << " -> " << p;
+    }
+  }
+
+  // The closed partition and the empty one have no cut edges either way.
+  for (uint32_t p : {0u, 4u}) {
+    EXPECT_TRUE(plan.parts[p].out.empty()) << "part " << p;
+    EXPECT_TRUE(plan.parts[p].in_peers.empty()) << "part " << p;
+  }
+  EXPECT_TRUE(plan.parts[4].members.empty());
+  EXPECT_FALSE(plan.parts[0].internal_targets.empty());
+}
+
+TEST(BoundaryPlan, MatchesGroupedReferenceUnweighted) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    CheckPlanAgainstReference(RandomPlanCase(seed, /*weighted=*/false));
+  }
+}
+
+TEST(BoundaryPlan, MatchesGroupedReferenceWeighted) {
+  for (uint64_t seed = 11; seed <= 18; ++seed) {
+    CheckPlanAgainstReference(RandomPlanCase(seed, /*weighted=*/true));
+  }
+}
+
+TEST(BoundaryPlan, RunSumFoldsInRunOrder) {
+  const PlanCase c = RandomPlanCase(3, /*weighted=*/false);
+  const BoundaryPlan plan = BoundaryPlan::Build(c.g, c.partitioning);
+  for (const auto& part : plan.parts) {
+    for (const auto& group : part.out) {
+      for (size_t j = 0; j < group.targets.size(); ++j) {
+        double expected = 0.0;
+        for (uint32_t e = group.run_begin[j]; e < group.run_begin[j + 1]; ++e) {
+          expected += 1.0 / (1.0 + group.sources[e]);
+        }
+        EXPECT_EQ(group.RunSum(j, [](uint32_t i) { return 1.0 / (1.0 + i); }),
+                  expected);
+      }
+    }
+  }
+}
+
+TEST(DeltaFilter, ReannouncementFillsTheSentinel) {
+  const PlanCase c = RandomPlanCase(5, /*weighted=*/false);
+  const BoundaryPlan plan = BoundaryPlan::Build(c.g, c.partitioning);
+  constexpr uint32_t kNever = 999;
+  DeltaFilter<uint32_t> filter(plan, 7, kNever);
+  const uint32_t p = 1;
+  const auto& out = plan.parts[p].out;
+  ASSERT_GE(out.size(), 2u);
+  for (size_t b = 0; b < out.size(); ++b) {
+    EXPECT_EQ(filter.sent(p, b), std::vector<uint32_t>(out[b].targets.size(), 7));
+  }
+
+  filter.ResendTo(p, out[1].peer);
+  EXPECT_EQ(filter.sent(p, 0), std::vector<uint32_t>(out[0].targets.size(), 7));
+  EXPECT_EQ(filter.sent(p, 1), std::vector<uint32_t>(out[1].targets.size(), kNever));
+  filter.ResendTo(p, /*peer=*/0);  // p sends nothing to the closed part
+  EXPECT_EQ(filter.sent(p, 0), std::vector<uint32_t>(out[0].targets.size(), 7));
+
+  filter.ResendAll(p);
+  for (size_t b = 0; b < out.size(); ++b) {
+    EXPECT_EQ(filter.sent(p, b),
+              std::vector<uint32_t>(out[b].targets.size(), kNever));
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // Debug jobs build with -DAMR_AUDIT=ON, where every family must fire.
 #include <gtest/gtest.h>
 
+#include "apps/app_common.hpp"
 #include "async/checkpoint.hpp"
 #include "async/progress.hpp"
 #include "async/state_store.hpp"
@@ -258,6 +259,30 @@ TEST(AuditStateStoreDeathTest, ClockRegressionTrips) {
   SKIP_WITHOUT_AUDIT();
   EXPECT_DEATH(asyncmr::async::AuditVersionAdvance(1, 5, 1, 4),
                "version regressed");
+}
+
+// --- filtered boundary sums (send_eps) ---------------------------------------
+
+TEST(AuditWithheldSum, WithinHalfToleranceDoesNotTrip) {
+  // tolerance 1e-4: a receiver may sit up to 5e-5 off the rebuilt sum.
+  asyncmr::apps::AuditWithheldSum(/*ext=*/0.85, /*recomputed=*/0.85,
+                                  /*tolerance=*/1e-4, /*roundings=*/0,
+                                  /*magnitude=*/1.0);
+  asyncmr::apps::AuditWithheldSum(0.85, 0.85 + 4.9e-5, 1e-4, 0, 1.0);
+  // Rounding slack: 1000 roundings of magnitude 10 allow ~2.2e-12 more.
+  asyncmr::apps::AuditWithheldSum(0.85, 0.85 + 5e-5 + 1e-12, 1e-4, 1000, 10.0);
+}
+
+TEST(AuditWithheldSumDeathTest, DriftPastHalfToleranceTrips) {
+  SKIP_WITHOUT_AUDIT();
+  // A receiver 1e-4 off with tolerance 1e-4: twice what send_eps permits,
+  // and far beyond any rounding of 1000 operations at magnitude 10.
+  EXPECT_DEATH(asyncmr::apps::AuditWithheldSum(/*ext=*/0.85,
+                                               /*recomputed=*/0.85 + 1e-4,
+                                               /*tolerance=*/1e-4,
+                                               /*roundings=*/1000,
+                                               /*magnitude=*/10.0),
+               "drifted past send_eps");
 }
 
 // --- checkpoint image round-trip ---------------------------------------------
