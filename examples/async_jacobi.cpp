@@ -99,5 +99,13 @@ int main(int argc, char** argv) {
               HumanSeconds(crashy_stats.seconds()).c_str(),
               100.0 * (crashy_stats.seconds() / stats.seconds() - 1.0),
               crashy_result.converged ? "yes" : "NO", crashy_result.residual_inf);
-  return 0;
+
+  // The bound tests/test_jacobi.cpp asserts on ||Ax-b||inf for every engine.
+  bool correct = crashy_result.converged;
+  for (double r : {general.residual_inf, eager.residual_inf, async_result.residual_inf,
+                   crashy_result.residual_inf}) {
+    correct = correct && r < 1e-6;
+  }
+  if (!correct) std::printf("MISMATCH: a solve missed ||Ax-b||inf < 1e-6\n");
+  return correct ? 0 : 1;
 }

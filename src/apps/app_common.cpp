@@ -2,9 +2,83 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <limits>
 
+#include "core/partition_io.hpp"
+#include "graph/graph_io.hpp"
+
 namespace asyncmr::apps {
+
+namespace {
+
+/// Reducers per wave job of the graph apps.
+constexpr uint32_t kGraphReducers = 16;
+
+/// Approximate on-disk bytes per (vertex, value) record of a graph app's
+/// iteration output.
+constexpr uint64_t kVertexRecordBytes = 12;
+
+}  // namespace
+
+WaveRounds::WaveRounds(cluster::SimCluster& cluster, const std::string& job_prefix,
+                       Kind kind, uint32_t num_reducers,
+                       const std::vector<serde::Buffer>& images,
+                       const std::vector<uint64_t>& payload_bytes)
+    : job_name_(job_prefix + (kind == Kind::kGeneral ? "-g" : "-e")),
+      prefix_("/" + job_prefix + (kind == Kind::kGeneral ? "-gen-" : "-eag-") +
+              std::to_string(cluster.dfs().stats().files_written)),
+      num_reducers_(num_reducers),
+      splits_(core::StagePartitionFiles(cluster, prefix_ + "/in", images)) {
+  AMR_CHECK_EQ(payload_bytes.size(), splits_.size());
+  for (size_t p = 0; p < splits_.size(); ++p) {
+    splits_[p].input_bytes = images[p].size() + payload_bytes[p];
+  }
+}
+
+WaveRounds WaveRounds::ForGraph(cluster::SimCluster& cluster,
+                                const std::string& job_prefix, Kind kind,
+                                const graph::Digraph& g,
+                                const graph::Partitioning& partitioning) {
+  std::vector<uint64_t> payload = partitioning.Sizes();
+  for (uint64_t& bytes : payload) bytes *= kVertexRecordBytes;
+  return WaveRounds(cluster, job_prefix, kind, kGraphReducers,
+                    graph::EncodeAllPartitionImages(g, partitioning), payload);
+}
+
+mr::JobConfig WaveRounds::RoundJob(uint32_t round) const {
+  mr::JobConfig job;
+  job.name = job_name_ + std::to_string(round);
+  job.num_reducers = num_reducers_;
+  job.output_path = prefix_ + "/it" + std::to_string(round);
+  return job;
+}
+
+void WaveRounds::Record(core::RunTrace& trace, uint32_t round,
+                        const mr::JobStats& stats, uint32_t local_iterations,
+                        double residual) {
+  core::RoundTrace row;
+  row.round = round;
+  row.start_seconds = stats.submit_time;
+  row.end_seconds = stats.finish_time;
+  row.ops = stats.total_ops;
+  row.shuffle_bytes = stats.shuffle_bytes;
+  row.map_output_bytes = stats.map_output_bytes;
+  row.local_iterations = local_iterations;
+  row.failed_attempts = stats.failed_attempts;
+  row.residual = residual;
+  trace.AddRound(row);
+}
+
+double ApplyValues(const std::vector<std::pair<uint32_t, double>>& records,
+                   std::vector<double>& values) {
+  double residual = 0.0;
+  for (const auto& [v, value] : records) {
+    residual = std::max(residual, std::abs(value - values[v]));
+    values[v] = value;
+  }
+  return residual;
+}
 
 BoundaryPlan BoundaryPlan::Build(const graph::Digraph& g,
                                  const graph::Partitioning& partitioning) {

@@ -1,7 +1,7 @@
 // Helpers shared by the benchmark applications (PageRank, SSSP, K-Means,
-// and the extension apps): the async graph apps' boundary plan and delta
-// filters, and dense contribution accumulators used to pre-combine map
-// emissions efficiently.
+// and the extension apps): the wave drivers' round bookkeeping, the async
+// graph apps' boundary plan and delta filters, and dense contribution
+// accumulators used to pre-combine map emissions efficiently.
 #pragma once
 
 #include <algorithm>
@@ -13,14 +13,64 @@
 #include <vector>
 
 #include "async/async_engine.hpp"
+#include "cluster/cluster.hpp"
 #include "common/check.hpp"
 #include "core/metrics.hpp"
 #include "graph/partition.hpp"
+#include "mr/types.hpp"
 
 namespace asyncmr::apps {
 
 /// Sentinel for "unreached" distances.
 inline constexpr double kInfDistance = std::numeric_limits<double>::infinity();
+
+/// The round bookkeeping of the wave drivers: General (one MapReduce job per
+/// iteration) and Eager (one PartialSyncJob global iteration per round).
+/// Construction stages the partition images once under a unique DFS prefix,
+/// "/<job_prefix>-gen-<n>" or "/<job_prefix>-eag-<n>" with n the files
+/// written so far (so repeated runs can share a cluster), and fixes the
+/// round splits: each partition's image bytes plus its per-round payload,
+/// the same every round. Round r's job is "<job_prefix>-g<r>" or
+/// "<job_prefix>-e<r>" and writes to "<prefix>/it<r>".
+class WaveRounds {
+ public:
+  enum class Kind { kGeneral, kEager };
+
+  WaveRounds(cluster::SimCluster& cluster, const std::string& job_prefix,
+             Kind kind, uint32_t num_reducers,
+             const std::vector<serde::Buffer>& images,
+             const std::vector<uint64_t>& payload_bytes);
+
+  /// A graph app's rounds (PageRank, SSSP, Jacobi, and components through
+  /// SSSP): g's partition images, one (vertex, value) output record per
+  /// member as the payload, 16 reducers wide.
+  static WaveRounds ForGraph(cluster::SimCluster& cluster,
+                             const std::string& job_prefix, Kind kind,
+                             const graph::Digraph& g,
+                             const graph::Partitioning& partitioning);
+
+  /// Round r's job: its name, output path and reducer count.
+  mr::JobConfig RoundJob(uint32_t round) const;
+
+  const std::vector<mr::SplitDesc>& splits() const { return splits_; }
+
+  /// Appends round r's row to trace: every RoundTrace field JobStats
+  /// carries, plus the round's partial syncs (0 for General) and residual.
+  static void Record(core::RunTrace& trace, uint32_t round,
+                     const mr::JobStats& stats, uint32_t local_iterations,
+                     double residual);
+
+ private:
+  std::string job_name_;  // "<job_prefix>-g" or "<job_prefix>-e"
+  std::string prefix_;
+  uint32_t num_reducers_;
+  std::vector<mr::SplitDesc> splits_;
+};
+
+/// Writes each (vertex, value) reduce record into values; returns the
+/// inf-norm change (the PageRank and Jacobi wave residual).
+double ApplyValues(const std::vector<std::pair<uint32_t, double>>& records,
+                   std::vector<double>& values);
 
 /// The single aggregate round every async app reports: engine time span,
 /// ops, bytes pushed, total worker iterations (as local_iterations) and the

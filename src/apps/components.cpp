@@ -44,7 +44,6 @@ SsspConfig ToSsspConfig(const ComponentsConfig& config, uint32_t n) {
   SsspConfig sssp;
   sssp.max_global_iterations = config.max_global_iterations;
   sssp.max_local_iterations = config.max_local_iterations;
-  sssp.num_reducers = config.num_reducers;
   sssp.job_prefix = config.job_prefix;
   sssp.initial_distances = IdentityLabels(n);
   return sssp;
@@ -137,7 +136,6 @@ ComponentsResult AsyncComponents(cluster::SimCluster& cluster,
   // Residual is the count of changed labels; terminate when none anywhere.
   engine_config.convergence_threshold = 0.5;
   engine_config.max_iterations_per_worker = config.max_global_iterations;
-  engine_config.checkpoint_interval = config.async_checkpoint_interval;
   engine_config.tuning = config.async_tuning;
   engine_config.name = config.job_prefix + "-async";
   async::AsyncEngine engine(cluster, num_parts, engine_config);

@@ -18,11 +18,8 @@ namespace asyncmr::apps {
 struct ComponentsConfig {
   uint32_t max_global_iterations = 2000;
   uint32_t max_local_iterations = 4096;
-  uint32_t num_reducers = 16;
-  /// Async: worker iterations between checkpoints (see AsyncConfig).
-  uint32_t async_checkpoint_interval = 8;
-  /// Async: transport/termination knobs forwarded to the engine (batch
-  /// coalescing, adaptive token backoff) — see async::EngineTuning.
+  /// Async: transport, termination and checkpoint knobs forwarded to the
+  /// engine — see async::EngineTuning.
   async::EngineTuning async_tuning;
   std::string job_prefix = "cc";
 };

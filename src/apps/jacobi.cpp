@@ -7,28 +7,32 @@
 
 #include "apps/app_common.hpp"
 #include "core/partial_sync_job.hpp"
-#include "core/partition_io.hpp"
-#include "graph/graph_io.hpp"
 #include "mr/job.hpp"
 
 namespace asyncmr::apps {
 
 namespace {
 
-constexpr uint64_t kValueRecordBytes = 12;
+// Eager and async local convergence threshold, a decade below the global
+// tolerance.
+constexpr double kLocalTolerance = 1e-9;
 
-std::string UniquePrefix(cluster::SimCluster& cluster, const std::string& base) {
-  return "/" + base + "-" + std::to_string(cluster.dfs().stats().files_written);
-}
-
-double ApplyNewValues(const std::vector<std::pair<uint32_t, double>>& records,
-                      std::vector<double>& x) {
-  double residual = 0.0;
-  for (const auto& [v, value] : records) {
-    residual = std::max(residual, std::abs(value - x[v]));
-    x[v] = value;
+/// The map-side sweep (General's mapper, Eager's gemit): each member u adds
+/// x(u) to every neighbour's row sum and keeps its own row live. value(u)
+/// reads x(u) from wherever the caller holds it.
+template <typename ValueFn>
+void ScatterRowSums(const graph::Digraph& g_sym,
+                    const std::vector<graph::VertexId>& members, ValueFn&& value,
+                    DenseAccumulator& scratch, mr::MapContext<uint32_t, double>& ctx) {
+  uint64_t ops = 0;
+  for (graph::VertexId u : members) {
+    const double xu = value(u);
+    for (graph::VertexId t : g_sym.OutNeighbors(u)) scratch.Add(t, xu);
+    scratch.Add(u, 0.0);  // keepalive
+    ops += g_sym.OutDegree(u) + 1;
   }
-  return residual;
+  ctx.AddOps(ops);
+  for (const auto& [t, val] : scratch.DrainSorted()) ctx.Emit(t, val);
 }
 
 }  // namespace
@@ -87,12 +91,8 @@ JacobiResult GeneralJacobi(cluster::SimCluster& cluster, const graph::Digraph& g
   const uint32_t n = g_sym.num_vertices();
   AMR_CHECK_EQ(b.size(), n);
   const auto members = partitioning.Members();
-  const auto part_sizes = partitioning.Sizes();
-  const std::string prefix = UniquePrefix(cluster, config.job_prefix + "-gen");
-  const auto images = graph::EncodeAllPartitionImages(g_sym, partitioning);
-  std::vector<uint64_t> image_bytes;
-  for (const auto& img : images) image_bytes.push_back(img.size());
-  auto base_splits = core::StagePartitionFiles(cluster, prefix + "/in", images);
+  const WaveRounds waves = WaveRounds::ForGraph(
+      cluster, config.job_prefix, WaveRounds::Kind::kGeneral, g_sym, partitioning);
 
   JacobiResult result;
   result.x.assign(n, 0.0);
@@ -100,27 +100,10 @@ JacobiResult GeneralJacobi(cluster::SimCluster& cluster, const graph::Digraph& g
   DenseAccumulator scratch(n);
 
   for (uint32_t round = 0; round < config.max_global_iterations; ++round) {
-    mr::JobConfig job_config;
-    job_config.name = config.job_prefix + "-g" + std::to_string(round);
-    job_config.num_reducers = config.num_reducers;
-    job_config.output_path = prefix + "/it" + std::to_string(round);
-
-    std::vector<mr::SplitDesc> splits = base_splits;
-    for (size_t p = 0; p < splits.size(); ++p) {
-      splits[p].input_bytes = image_bytes[p] + kValueRecordBytes * part_sizes[p];
-    }
-
-    mr::Job<uint32_t, double, uint32_t, double> job(cluster, job_config);
+    mr::Job<uint32_t, double, uint32_t, double> job(cluster, waves.RoundJob(round));
     job.set_mapper([&](uint32_t p, mr::MapContext<uint32_t, double>& ctx) {
-      uint64_t ops = 0;
-      for (graph::VertexId u : members[p]) {
-        const double xu = result.x[u];
-        for (graph::VertexId t : g_sym.OutNeighbors(u)) scratch.Add(t, xu);
-        scratch.Add(u, 0.0);  // keepalive
-        ops += g_sym.OutDegree(u) + 1;
-      }
-      ctx.AddOps(ops);
-      for (const auto& [t, val] : scratch.DrainSorted()) ctx.Emit(t, val);
+      ScatterRowSums(g_sym, members[p], [&](graph::VertexId u) { return result.x[u]; },
+                     scratch, ctx);
     });
     job.set_reducer([&](const uint32_t& v, const std::vector<double>& sums,
                         mr::ReduceContext<uint32_t, double>& ctx) {
@@ -130,18 +113,9 @@ JacobiResult GeneralJacobi(cluster::SimCluster& cluster, const graph::Digraph& g
       ctx.Emit(v, (b[v] + sum) / (g_sym.OutDegree(v) + 1.0));
     });
 
-    auto out = job.RunBlocking(std::move(splits));
-    const double residual = ApplyNewValues(out.records, result.x);
-
-    core::RoundTrace trace;
-    trace.round = round;
-    trace.start_seconds = out.raw.stats.submit_time;
-    trace.end_seconds = out.raw.stats.finish_time;
-    trace.ops = out.raw.stats.total_ops;
-    trace.shuffle_bytes = out.raw.stats.shuffle_bytes;
-    trace.map_output_bytes = out.raw.stats.map_output_bytes;
-    trace.residual = residual;
-    result.trace.AddRound(trace);
+    auto out = job.RunBlocking(waves.splits());
+    const double residual = ApplyValues(out.records, result.x);
+    WaveRounds::Record(result.trace, round, out.raw.stats, 0, residual);
     if (residual < config.tolerance) {
       result.converged = true;
       break;
@@ -175,12 +149,8 @@ JacobiResult EagerJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
   AMR_CHECK_EQ(b.size(), n);
   const uint32_t num_parts = partitioning.num_parts;
   const auto members = partitioning.Members();
-  const auto part_sizes = partitioning.Sizes();
-  const std::string prefix = UniquePrefix(cluster, config.job_prefix + "-eag");
-  const auto images = graph::EncodeAllPartitionImages(g_sym, partitioning);
-  std::vector<uint64_t> image_bytes;
-  for (const auto& img : images) image_bytes.push_back(img.size());
-  auto base_splits = core::StagePartitionFiles(cluster, prefix + "/in", images);
+  const WaveRounds waves = WaveRounds::ForGraph(
+      cluster, config.job_prefix, WaveRounds::Kind::kEager, g_sym, partitioning);
 
   std::vector<std::vector<graph::VertexId>> internal_flat(num_parts);
   std::vector<std::vector<JacVertex>> records(num_parts);
@@ -215,10 +185,8 @@ JacobiResult EagerJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
 
   using Psj = core::PartialSyncJob<JacVertex, uint32_t, double>;
   typename Psj::Config psj_config;
-  psj_config.job.num_reducers = config.num_reducers;
   psj_config.local.max_local_iterations = config.max_local_iterations;
   psj_config.local.lcombine = [](const double& a, const double& c) { return a + c; };
-  psj_config.gmap_time_scale = config.gmap_time_scale;
   Psj psj(cluster, psj_config);
 
   psj.set_partition_data(
@@ -248,12 +216,12 @@ JacobiResult EagerJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
     ctx.AddOps(values.size() + 2);
     ctx.EmitLocal(v, (b[v] + sum) * inv_diag[v]);
   });
-  psj.set_local_convergence([&config](const core::LocalState<uint32_t, double>& prev,
-                                      const core::LocalState<uint32_t, double>& next,
-                                      uint32_t) {
+  psj.set_local_convergence([](const core::LocalState<uint32_t, double>& prev,
+                               const core::LocalState<uint32_t, double>& next,
+                               uint32_t) {
     for (const auto& [k, v] : next) {
       auto it = prev.find(k);
-      if (it == prev.end() || std::abs(v - it->second) >= config.local_tolerance) {
+      if (it == prev.end() || std::abs(v - it->second) >= kLocalTolerance) {
         return false;
       }
     }
@@ -261,15 +229,8 @@ JacobiResult EagerJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
   });
   psj.set_gemit([&](uint32_t p, const core::LocalState<uint32_t, double>& state,
                     mr::MapContext<uint32_t, double>& ctx) {
-    uint64_t ops = 0;
-    for (const JacVertex& rec : records[p]) {
-      const double xu = state.at(rec.v);
-      for (graph::VertexId t : g_sym.OutNeighbors(rec.v)) scratch.Add(t, xu);
-      scratch.Add(rec.v, 0.0);
-      ops += g_sym.OutDegree(rec.v) + 1;
-    }
-    ctx.AddOps(ops);
-    for (const auto& [t, val] : scratch.DrainSorted()) ctx.Emit(t, val);
+    ScatterRowSums(g_sym, members[p], [&](graph::VertexId u) { return state.at(u); },
+                   scratch, ctx);
   });
   psj.set_greduce([&b, &inv_diag](const uint32_t& v, const std::vector<double>& sums,
                                   mr::ReduceContext<uint32_t, double>& ctx) {
@@ -293,25 +254,11 @@ JacobiResult EagerJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
       for (JacVertex& rec : records[p]) rec.ext = ext_buf[rec.v];
     }
 
-    psj.mutable_config().job.name = config.job_prefix + "-e" + std::to_string(round);
-    psj.mutable_config().job.output_path = prefix + "/it" + std::to_string(round);
-    std::vector<mr::SplitDesc> splits = base_splits;
-    for (size_t p = 0; p < splits.size(); ++p) {
-      splits[p].input_bytes = image_bytes[p] + kValueRecordBytes * part_sizes[p];
-    }
-    auto out = psj.RunGlobalIteration(std::move(splits));
-    const double residual = ApplyNewValues(out.records, result.x);
-
-    core::RoundTrace trace;
-    trace.round = round;
-    trace.start_seconds = out.raw.stats.submit_time;
-    trace.end_seconds = out.raw.stats.finish_time;
-    trace.ops = out.raw.stats.total_ops;
-    trace.shuffle_bytes = out.raw.stats.shuffle_bytes;
-    trace.map_output_bytes = out.raw.stats.map_output_bytes;
-    trace.local_iterations = psj.last_local_iterations();
-    trace.residual = residual;
-    result.trace.AddRound(trace);
+    psj.mutable_config().job = waves.RoundJob(round);
+    auto out = psj.RunGlobalIteration(waves.splits());
+    const double residual = ApplyValues(out.records, result.x);
+    WaveRounds::Record(result.trace, round, out.raw.stats,
+                       psj.last_local_iterations(), residual);
     if (residual < config.tolerance) {
       result.converged = true;
       break;
@@ -378,8 +325,6 @@ JacobiResult AsyncJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
   engine_config.staleness_bound = staleness;
   engine_config.convergence_threshold = config.tolerance;
   engine_config.max_iterations_per_worker = config.max_global_iterations * 10;
-  engine_config.compute_time_scale = config.gmap_time_scale;
-  engine_config.checkpoint_interval = config.async_checkpoint_interval;
   engine_config.tuning = config.async_tuning;
   engine_config.name = config.job_prefix + "-async";
   async::AsyncEngine engine(cluster, num_parts, engine_config);
@@ -411,7 +356,7 @@ JacobiResult AsyncJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
       }
       part.x.swap(next);
       ops += part_plan.internal_edges() + 2 * m;
-      if (sweep_residual < config.local_tolerance) break;
+      if (sweep_residual < kLocalTolerance) break;
     }
 
     double residual = 0.0;

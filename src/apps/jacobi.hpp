@@ -26,14 +26,9 @@ namespace asyncmr::apps {
 struct JacobiConfig {
   double tolerance = 1e-8;             // inf-norm of iterate change
   uint32_t max_global_iterations = 500;
-  double local_tolerance = 1e-9;       // eager: local convergence
   uint32_t max_local_iterations = 256;
-  uint32_t num_reducers = 16;
-  double gmap_time_scale = 1.0;
-  /// Async: worker iterations between checkpoints (see AsyncConfig).
-  uint32_t async_checkpoint_interval = 8;
-  /// Async: transport/termination knobs forwarded to the engine (batch
-  /// coalescing, adaptive token backoff) — see async::EngineTuning.
+  /// Async: transport, termination and checkpoint knobs forwarded to the
+  /// engine — see async::EngineTuning.
   async::EngineTuning async_tuning;
   std::string job_prefix = "jac";
 };

@@ -8,12 +8,18 @@
 #include "apps/app_common.hpp"
 #include "common/rng.hpp"
 #include "core/partial_sync_job.hpp"
-#include "core/partition_io.hpp"
 #include "mr/job.hpp"
 
 namespace asyncmr::apps {
 
 namespace {
+
+/// Reducers per wave job: one reduce key per centroid.
+constexpr uint32_t kKMeansReducers = 8;
+
+/// Eager: global rounds without a movement improvement before the run is
+/// declared oscillating.
+constexpr uint32_t kOscillationWindow = 4;
 
 /// Wire value for K-Means MapReduce: a coordinate sum (or mean) plus the
 /// number of points it aggregates.
@@ -96,13 +102,11 @@ std::vector<std::vector<uint32_t>> SplitPoints(const std::vector<uint32_t>& orde
   return parts;
 }
 
-std::string UniquePrefix(cluster::SimCluster& cluster, const std::string& base) {
-  return "/" + base + "-" + std::to_string(cluster.dfs().stats().files_written);
-}
-
-/// Encodes each partition's point payload (real bytes) for DFS staging.
-std::vector<serde::Buffer> PointImages(const Dataset& data,
-                                       const std::vector<std::vector<uint32_t>>& parts) {
+/// Stages each partition's point payload (real bytes) on the DFS; every
+/// round's split also carries the broadcast centroids.
+WaveRounds PointWaveRounds(cluster::SimCluster& cluster, const Dataset& data,
+                           const KMeansConfig& config, WaveRounds::Kind kind,
+                           const std::vector<std::vector<uint32_t>>& parts) {
   std::vector<serde::Buffer> images;
   images.reserve(parts.size());
   for (const auto& part : parts) {
@@ -114,7 +118,10 @@ std::vector<serde::Buffer> PointImages(const Dataset& data,
     }
     images.push_back(std::move(buf));
   }
-  return images;
+  const uint64_t centroid_bytes =
+      static_cast<uint64_t>(config.k) * data.dims() * sizeof(double);
+  return WaveRounds(cluster, config.job_prefix, kind, kKMeansReducers, images,
+                    std::vector<uint64_t>(parts.size(), centroid_bytes));
 }
 
 }  // namespace
@@ -174,30 +181,15 @@ KMeansResult GeneralKMeans(cluster::SimCluster& cluster, const Dataset& data,
   std::vector<uint32_t> order(data.num_points());
   for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
   const auto parts = SplitPoints(order, config.num_partitions);
-
-  const std::string prefix = UniquePrefix(cluster, config.job_prefix + "-gen");
-  const auto images = PointImages(data, parts);
-  std::vector<uint64_t> image_bytes;
-  for (const auto& img : images) image_bytes.push_back(img.size());
-  auto base_splits = core::StagePartitionFiles(cluster, prefix + "/in", images);
+  const WaveRounds waves =
+      PointWaveRounds(cluster, data, config, WaveRounds::Kind::kGeneral, parts);
 
   KMeansResult result;
   result.centroids = InitialCentroids(data, k, config.seed);
   result.trace = core::RunTrace("general-kmeans");
-  const uint64_t centroid_bytes = static_cast<uint64_t>(k) * dims * sizeof(double);
 
   for (uint32_t round = 0; round < config.max_global_iterations; ++round) {
-    mr::JobConfig job_config;
-    job_config.name = config.job_prefix + "-g" + std::to_string(round);
-    job_config.num_reducers = config.num_reducers;
-    job_config.output_path = prefix + "/it" + std::to_string(round);
-
-    std::vector<mr::SplitDesc> splits = base_splits;
-    for (size_t p = 0; p < splits.size(); ++p) {
-      splits[p].input_bytes = image_bytes[p] + centroid_bytes;  // data + broadcast
-    }
-
-    mr::Job<uint32_t, KmUpdate, uint32_t, KmUpdate> job(cluster, job_config);
+    mr::Job<uint32_t, KmUpdate, uint32_t, KmUpdate> job(cluster, waves.RoundJob(round));
     job.set_mapper([&](uint32_t p, mr::MapContext<uint32_t, KmUpdate>& ctx) {
       std::vector<double> sums(static_cast<size_t>(k) * dims, 0.0);
       std::vector<uint64_t> counts(k, 0);
@@ -235,7 +227,7 @@ KMeansResult GeneralKMeans(cluster::SimCluster& cluster, const Dataset& data,
       }
     });
 
-    auto out = job.RunBlocking(std::move(splits));
+    auto out = job.RunBlocking(waves.splits());
     std::vector<double> next = result.centroids;
     for (const auto& [c, update] : out.records) {
       for (uint32_t d = 0; d < dims; ++d) {
@@ -244,17 +236,7 @@ KMeansResult GeneralKMeans(cluster::SimCluster& cluster, const Dataset& data,
     }
     const double movement = Movement(result.centroids, next, k, dims);
     result.centroids = std::move(next);
-
-    core::RoundTrace trace;
-    trace.round = round;
-    trace.start_seconds = out.raw.stats.submit_time;
-    trace.end_seconds = out.raw.stats.finish_time;
-    trace.ops = out.raw.stats.total_ops;
-    trace.shuffle_bytes = out.raw.stats.shuffle_bytes;
-    trace.map_output_bytes = out.raw.stats.map_output_bytes;
-    trace.residual = movement;
-    result.trace.AddRound(trace);
-
+    WaveRounds::Record(result.trace, round, out.raw.stats, 0, movement);
     if (movement < config.threshold) {
       result.converged = true;
       break;
@@ -276,13 +258,10 @@ KMeansResult EagerKMeans(cluster::SimCluster& cluster, const Dataset& data,
   std::vector<uint32_t> order(data.num_points());
   for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
   auto parts = SplitPoints(order, config.num_partitions);
-
-  const std::string prefix = UniquePrefix(cluster, config.job_prefix + "-eag");
-  const auto images = PointImages(data, parts);
-  std::vector<uint64_t> image_bytes;
-  for (const auto& img : images) image_bytes.push_back(img.size());
-  auto base_splits = core::StagePartitionFiles(cluster, prefix + "/in", images);
-  const uint64_t centroid_bytes = static_cast<uint64_t>(k) * dims * sizeof(double);
+  // Reshuffles move points between gmaps, not bytes between files: the
+  // splits keep the initial staging.
+  const WaveRounds waves =
+      PointWaveRounds(cluster, data, config, WaveRounds::Kind::kEager, parts);
 
   KMeansResult result;
   result.centroids = InitialCentroids(data, k, config.seed);
@@ -293,7 +272,6 @@ KMeansResult EagerKMeans(cluster::SimCluster& cluster, const Dataset& data,
 
   using Psj = core::PartialSyncJob<uint32_t, uint32_t, KmUpdate>;
   typename Psj::Config psj_config;
-  psj_config.job.num_reducers = config.num_reducers;
   psj_config.local.max_local_iterations = config.max_local_iterations;
   psj_config.local.lcombine = [dims](const KmUpdate& a, const KmUpdate& b) {
     KmUpdate merged = a;
@@ -310,7 +288,6 @@ KMeansResult EagerKMeans(cluster::SimCluster& cluster, const Dataset& data,
                     centroid_cache.begin() + static_cast<size_t>(c) * dims);
         }
       };
-  psj_config.gmap_time_scale = config.gmap_time_scale;
   Psj psj(cluster, psj_config);
 
   psj.set_partition_data(
@@ -407,15 +384,8 @@ KMeansResult EagerKMeans(cluster::SimCluster& cluster, const Dataset& data,
       parts = SplitPoints(order, config.num_partitions);
     }
 
-    psj.mutable_config().job.name = config.job_prefix + "-e" + std::to_string(round);
-    psj.mutable_config().job.output_path = prefix + "/it" + std::to_string(round);
-
-    std::vector<mr::SplitDesc> splits = base_splits;
-    for (size_t p = 0; p < splits.size(); ++p) {
-      splits[p].input_bytes = image_bytes[p] + centroid_bytes;
-    }
-
-    auto out = psj.RunGlobalIteration(std::move(splits));
+    psj.mutable_config().job = waves.RoundJob(round);
+    auto out = psj.RunGlobalIteration(waves.splits());
     std::vector<double> next = result.centroids;
     for (const auto& [c, update] : out.records) {
       for (uint32_t d = 0; d < dims; ++d) {
@@ -424,18 +394,8 @@ KMeansResult EagerKMeans(cluster::SimCluster& cluster, const Dataset& data,
     }
     const double movement = Movement(result.centroids, next, k, dims);
     result.centroids = std::move(next);
-
-    core::RoundTrace trace;
-    trace.round = round;
-    trace.start_seconds = out.raw.stats.submit_time;
-    trace.end_seconds = out.raw.stats.finish_time;
-    trace.ops = out.raw.stats.total_ops;
-    trace.shuffle_bytes = out.raw.stats.shuffle_bytes;
-    trace.map_output_bytes = out.raw.stats.map_output_bytes;
-    trace.local_iterations = psj.last_local_iterations();
-    trace.residual = movement;
-    result.trace.AddRound(trace);
-
+    WaveRounds::Record(result.trace, round, out.raw.stats,
+                       psj.last_local_iterations(), movement);
     if (movement < config.threshold) {
       result.converged = true;
       break;
@@ -445,7 +405,7 @@ KMeansResult EagerKMeans(cluster::SimCluster& cluster, const Dataset& data,
     if (movement < best_movement * 0.999) {
       best_movement = movement;
       rounds_since_improvement = 0;
-    } else if (++rounds_since_improvement >= config.oscillation_window) {
+    } else if (++rounds_since_improvement >= kOscillationWindow) {
       result.converged = true;
       result.stopped_on_oscillation = true;
       break;
@@ -517,8 +477,6 @@ KMeansResult AsyncKMeans(cluster::SimCluster& cluster, const Dataset& data,
   engine_config.staleness_bound = staleness;
   engine_config.convergence_threshold = config.threshold;
   engine_config.max_iterations_per_worker = config.max_global_iterations * 10;
-  engine_config.compute_time_scale = config.gmap_time_scale;
-  engine_config.checkpoint_interval = config.async_checkpoint_interval;
   engine_config.tuning = config.async_tuning;
   engine_config.name = config.job_prefix + "-async";
   async::AsyncEngine engine(cluster, num_parts, engine_config);

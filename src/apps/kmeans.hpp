@@ -36,13 +36,8 @@ struct KMeansConfig {
   uint32_t num_partitions = 52;        // the paper's fixed partition count
   uint32_t max_local_iterations = 64;  // eager: per-gmap Lloyd cap
   uint32_t reshuffle_every = 5;        // eager: repartition period (0 = never)
-  uint32_t oscillation_window = 4;     // eager: rounds without improvement
-  uint32_t num_reducers = 8;
-  double gmap_time_scale = 1.0;
-  /// Async: worker iterations between checkpoints (see AsyncConfig).
-  uint32_t async_checkpoint_interval = 8;
-  /// Async: transport/termination knobs forwarded to the engine (batch
-  /// coalescing, adaptive token backoff) — see async::EngineTuning.
+  /// Async: transport, termination and checkpoint knobs forwarded to the
+  /// engine — see async::EngineTuning.
   async::EngineTuning async_tuning;
   uint64_t seed = 1234;                // initial centroids + reshuffles
   std::string job_prefix = "km";

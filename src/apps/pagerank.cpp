@@ -7,59 +7,26 @@
 
 #include "apps/app_common.hpp"
 #include "core/partial_sync_job.hpp"
-#include "core/partition_io.hpp"
-#include "graph/graph_io.hpp"
 #include "mr/job.hpp"
 
 namespace asyncmr::apps {
 
 namespace {
 
-/// Approximate on-disk bytes per (vertex, rank) record in iteration outputs.
-constexpr uint64_t kRankRecordBytes = 12;
+// Eager and async local convergence threshold (inf-norm of one local
+// iteration's change). A decade below the global tolerance so local solves
+// land close enough to the block fixed point that the outer iteration, not
+// leftover local error, controls the endgame.
+constexpr double kLocalTolerance = 1e-6;
 
-/// Applies reduce output to the rank vector; returns the inf-norm change.
-double ApplyNewRanks(const std::vector<std::pair<uint32_t, double>>& records,
-                     std::vector<double>& ranks) {
-  double residual = 0.0;
-  for (const auto& [v, r] : records) {
-    residual = std::max(residual, std::abs(r - ranks[v]));
-    ranks[v] = r;
-  }
-  return residual;
-}
-
-/// Unique DFS namespace per run so repeated runs share a cluster.
-std::string UniquePrefix(cluster::SimCluster& cluster, const std::string& base) {
-  return "/" + base + "-" + std::to_string(cluster.dfs().stats().files_written);
-}
-
-struct StagedInput {
-  std::vector<mr::SplitDesc> splits;
-  std::vector<uint64_t> image_bytes;
-  std::string prefix;
-};
-
-StagedInput StageGraph(cluster::SimCluster& cluster, const graph::Digraph& g,
-                       const graph::Partitioning& partitioning,
-                       const std::string& job_prefix) {
-  StagedInput staged;
-  staged.prefix = UniquePrefix(cluster, job_prefix);
-  const auto images = graph::EncodeAllPartitionImages(g, partitioning);
-  staged.image_bytes.reserve(images.size());
-  for (const auto& img : images) staged.image_bytes.push_back(img.size());
-  staged.splits = core::StagePartitionFiles(cluster, staged.prefix + "/in", images);
-  return staged;
-}
-
-/// Per-round split refresh: adjacency image + current rank payload.
-std::vector<mr::SplitDesc> RoundSplits(const StagedInput& staged,
-                                       const std::vector<uint64_t>& part_sizes) {
-  std::vector<mr::SplitDesc> splits = staged.splits;
-  for (size_t p = 0; p < splits.size(); ++p) {
-    splits[p].input_bytes = staged.image_bytes[p] + kRankRecordBytes * part_sizes[p];
-  }
-  return splits;
+/// The global reduce (General's reducer, Eager's greduce): Equation (1) over
+/// the summed contributions.
+void ReduceRank(const uint32_t& v, const std::vector<double>& contribs,
+                mr::ReduceContext<uint32_t, double>& ctx) {
+  double sum = 0.0;
+  for (double c : contribs) sum += c;
+  ctx.AddOps(contribs.size());
+  ctx.Emit(v, (1.0 - kPageRankDamping) + kPageRankDamping * sum);
 }
 
 }  // namespace
@@ -70,7 +37,7 @@ std::vector<double> SerialPageRank(const graph::Digraph& g,
   const uint32_t n = g.num_vertices();
   std::vector<double> ranks(n, 1.0);
   std::vector<double> sums(n, 0.0);
-  const double chi = config.damping;
+  const double chi = kPageRankDamping;
   uint32_t iter = 0;
   const uint32_t cap = config.max_global_iterations * 10;
   for (; iter < cap; ++iter) {
@@ -104,10 +71,9 @@ PageRankResult GeneralPageRank(cluster::SimCluster& cluster, const graph::Digrap
                                const graph::Partitioning& partitioning,
                                const PageRankConfig& config) {
   const uint32_t n = g.num_vertices();
-  const double chi = config.damping;
   const auto members = partitioning.Members();
-  const auto part_sizes = partitioning.Sizes();
-  StagedInput staged = StageGraph(cluster, g, partitioning, config.job_prefix + "-gen");
+  const WaveRounds waves = WaveRounds::ForGraph(
+      cluster, config.job_prefix, WaveRounds::Kind::kGeneral, g, partitioning);
 
   PageRankResult result;
   result.ranks.assign(n, 1.0);
@@ -115,12 +81,7 @@ PageRankResult GeneralPageRank(cluster::SimCluster& cluster, const graph::Digrap
   DenseAccumulator scratch(n);
 
   for (uint32_t round = 0; round < config.max_global_iterations; ++round) {
-    mr::JobConfig job_config;
-    job_config.name = config.job_prefix + "-g" + std::to_string(round);
-    job_config.num_reducers = config.num_reducers;
-    job_config.output_path = staged.prefix + "/it" + std::to_string(round);
-
-    mr::Job<uint32_t, double, uint32_t, double> job(cluster, job_config);
+    mr::Job<uint32_t, double, uint32_t, double> job(cluster, waves.RoundJob(round));
     job.set_mapper([&](uint32_t p, mr::MapContext<uint32_t, double>& ctx) {
       uint64_t edge_ops = 0;
       for (graph::VertexId u : members[p]) {
@@ -135,29 +96,11 @@ PageRankResult GeneralPageRank(cluster::SimCluster& cluster, const graph::Digrap
       ctx.AddOps(edge_ops + members[p].size());
       for (const auto& [t, val] : scratch.DrainSorted()) ctx.Emit(t, val);
     });
-    job.set_reducer([&](const uint32_t& v, const std::vector<double>& contribs,
-                        mr::ReduceContext<uint32_t, double>& ctx) {
-      double sum = 0.0;
-      for (double c : contribs) sum += c;
-      ctx.AddOps(contribs.size());
-      ctx.Emit(v, (1.0 - chi) + chi * sum);
-    });
+    job.set_reducer(ReduceRank);
 
-    auto out = job.RunBlocking(RoundSplits(staged, part_sizes));
-    const double residual = ApplyNewRanks(out.records, result.ranks);
-
-    core::RoundTrace trace;
-    trace.round = round;
-    trace.start_seconds = out.raw.stats.submit_time;
-    trace.end_seconds = out.raw.stats.finish_time;
-    trace.ops = out.raw.stats.total_ops;
-    trace.shuffle_bytes = out.raw.stats.shuffle_bytes;
-    trace.map_output_bytes = out.raw.stats.map_output_bytes;
-    trace.local_iterations = 0;
-    trace.failed_attempts = out.raw.stats.failed_attempts;
-    trace.residual = residual;
-    result.trace.AddRound(trace);
-
+    auto out = job.RunBlocking(waves.splits());
+    const double residual = ApplyValues(out.records, result.ranks);
+    WaveRounds::Record(result.trace, round, out.raw.stats, 0, residual);
     if (residual < config.tolerance) {
       result.converged = true;
       break;
@@ -189,10 +132,9 @@ PageRankResult EagerPageRank(cluster::SimCluster& cluster, const graph::Digraph&
                              const PageRankConfig& config) {
   const uint32_t n = g.num_vertices();
   const uint32_t num_parts = partitioning.num_parts;
-  const double chi = config.damping;
   const auto members = partitioning.Members();
-  const auto part_sizes = partitioning.Sizes();
-  StagedInput staged = StageGraph(cluster, g, partitioning, config.job_prefix + "-eag");
+  const WaveRounds waves = WaveRounds::ForGraph(
+      cluster, config.job_prefix, WaveRounds::Kind::kEager, g, partitioning);
 
   // Build per-partition vertex records with internal adjacency slices.
   std::vector<std::vector<graph::VertexId>> internal_flat(num_parts);
@@ -231,10 +173,8 @@ PageRankResult EagerPageRank(cluster::SimCluster& cluster, const graph::Digraph&
   // --- the paper's four-function API ----------------------------------------
   using Psj = core::PartialSyncJob<EagerVertex, uint32_t, double>;
   typename Psj::Config psj_config;
-  psj_config.job.num_reducers = config.num_reducers;
   psj_config.local.max_local_iterations = config.max_local_iterations;
   psj_config.local.lcombine = [](const double& a, const double& b) { return a + b; };
-  psj_config.gmap_time_scale = config.gmap_time_scale;
   Psj psj(cluster, psj_config);
 
   psj.set_partition_data([&](uint32_t p) {
@@ -257,20 +197,20 @@ PageRankResult EagerPageRank(cluster::SimCluster& cluster, const graph::Digraph&
     // every member key live in lreduce.
     out.EmitLocalIntermediate(x.v, x.ext);
   });
-  psj.set_lreduce([chi](const uint32_t& v, const std::vector<double>& values,
-                        const core::LocalState<uint32_t, double>&,
-                        core::LocalReduceContext<uint32_t, double>& ctx) {
+  psj.set_lreduce([](const uint32_t& v, const std::vector<double>& values,
+                     const core::LocalState<uint32_t, double>&,
+                     core::LocalReduceContext<uint32_t, double>& ctx) {
     double sum = 0.0;
     for (double c : values) sum += c;
     ctx.AddOps(values.size());
-    ctx.EmitLocal(v, (1.0 - chi) + chi * sum);
+    ctx.EmitLocal(v, (1.0 - kPageRankDamping) + kPageRankDamping * sum);
   });
-  psj.set_local_convergence([&config](const core::LocalState<uint32_t, double>& prev,
-                                      const core::LocalState<uint32_t, double>& next,
-                                      uint32_t) {
+  psj.set_local_convergence([](const core::LocalState<uint32_t, double>& prev,
+                               const core::LocalState<uint32_t, double>& next,
+                               uint32_t) {
     for (const auto& [k, v] : next) {
       auto it = prev.find(k);
-      if (it == prev.end() || std::abs(v - it->second) >= config.local_tolerance) {
+      if (it == prev.end() || std::abs(v - it->second) >= kLocalTolerance) {
         return false;
       }
     }
@@ -290,13 +230,7 @@ PageRankResult EagerPageRank(cluster::SimCluster& cluster, const graph::Digraph&
     ctx.AddOps(edge_ops + records[p].size());
     for (const auto& [t, val] : scratch.DrainSorted()) ctx.Emit(t, val);
   });
-  psj.set_greduce([chi](const uint32_t& v, const std::vector<double>& contribs,
-                        mr::ReduceContext<uint32_t, double>& ctx) {
-    double sum = 0.0;
-    for (double c : contribs) sum += c;
-    ctx.AddOps(contribs.size());
-    ctx.Emit(v, (1.0 - chi) + chi * sum);
-  });
+  psj.set_greduce(ReduceRank);
 
   for (uint32_t round = 0; round < config.max_global_iterations; ++round) {
     // Refresh frozen external contributions from the current global ranks.
@@ -317,23 +251,11 @@ PageRankResult EagerPageRank(cluster::SimCluster& cluster, const graph::Digraph&
       for (EagerVertex& x : records[p]) x.ext = ext_buf[x.v];
     }
 
-    psj.mutable_config().job.name = config.job_prefix + "-e" + std::to_string(round);
-    psj.mutable_config().job.output_path = staged.prefix + "/it" + std::to_string(round);
-    auto out = psj.RunGlobalIteration(RoundSplits(staged, part_sizes));
-    const double residual = ApplyNewRanks(out.records, result.ranks);
-
-    core::RoundTrace trace;
-    trace.round = round;
-    trace.start_seconds = out.raw.stats.submit_time;
-    trace.end_seconds = out.raw.stats.finish_time;
-    trace.ops = out.raw.stats.total_ops;
-    trace.shuffle_bytes = out.raw.stats.shuffle_bytes;
-    trace.map_output_bytes = out.raw.stats.map_output_bytes;
-    trace.local_iterations = psj.last_local_iterations();
-    trace.failed_attempts = out.raw.stats.failed_attempts;
-    trace.residual = residual;
-    result.trace.AddRound(trace);
-
+    psj.mutable_config().job = waves.RoundJob(round);
+    auto out = psj.RunGlobalIteration(waves.splits());
+    const double residual = ApplyValues(out.records, result.ranks);
+    WaveRounds::Record(result.trace, round, out.raw.stats,
+                       psj.last_local_iterations(), residual);
     if (residual < config.tolerance) {
       result.converged = true;
       break;
@@ -364,7 +286,7 @@ PageRankResult AsyncPageRank(cluster::SimCluster& cluster, const graph::Digraph&
                              async::AsyncResult* engine_stats) {
   const uint32_t n = g.num_vertices();
   const uint32_t num_parts = partitioning.num_parts;
-  const double chi = config.damping;
+  const double chi = kPageRankDamping;
   // Contribution changes smaller than this are not re-pushed. A receiver can
   // accumulate one withheld delta per in-peer, so the threshold scales down
   // with the partition count to keep the total silenced error under half the
@@ -415,8 +337,6 @@ PageRankResult AsyncPageRank(cluster::SimCluster& cluster, const graph::Digraph&
   engine_config.staleness_bound = staleness;
   engine_config.convergence_threshold = config.tolerance;
   engine_config.max_iterations_per_worker = config.max_global_iterations * 10;
-  engine_config.compute_time_scale = config.gmap_time_scale;
-  engine_config.checkpoint_interval = config.async_checkpoint_interval;
   engine_config.tuning = config.async_tuning;
   engine_config.name = config.job_prefix + "-async";
   async::AsyncEngine engine(cluster, num_parts, engine_config);
@@ -448,7 +368,7 @@ PageRankResult AsyncPageRank(cluster::SimCluster& cluster, const graph::Digraph&
       }
       part.ranks.swap(next);
       ops += part_plan.internal_edges() + 2 * m;
-      if (sweep_residual < config.local_tolerance) break;
+      if (sweep_residual < kLocalTolerance) break;
     }
 
     double residual = 0.0;

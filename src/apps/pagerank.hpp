@@ -35,23 +35,15 @@
 
 namespace asyncmr::apps {
 
+/// The damping factor chi of Equation (1).
+inline constexpr double kPageRankDamping = 0.85;
+
 struct PageRankConfig {
-  double damping = 0.85;
   double tolerance = 1e-5;             // global convergence, inf-norm
   uint32_t max_global_iterations = 200;
-  // Eager: local convergence threshold (inf-norm of one local iteration's
-  // change). A decade below the global tolerance so local solves land close
-  // enough to the block fixed point that the outer iteration, not leftover
-  // local error, controls the endgame.
-  double local_tolerance = 1e-6;
   uint32_t max_local_iterations = 128; // eager: per-gmap cap
-  uint32_t num_reducers = 16;
-  double gmap_time_scale = 1.0;        // eager: lmap thread-pool speedup
-  /// Async: worker iterations between checkpoints (see AsyncConfig); crash
-  /// recovery restores from the last durable one.
-  uint32_t async_checkpoint_interval = 8;
-  /// Async: transport/termination knobs forwarded to the engine (batch
-  /// coalescing, adaptive token backoff) — see async::EngineTuning.
+  /// Async: transport, termination and checkpoint knobs forwarded to the
+  /// engine — see async::EngineTuning.
   async::EngineTuning async_tuning;
   std::string job_prefix = "pr";
 };

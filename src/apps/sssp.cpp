@@ -7,23 +7,60 @@
 
 #include "apps/app_common.hpp"
 #include "core/partial_sync_job.hpp"
-#include "core/partition_io.hpp"
-#include "graph/graph_io.hpp"
 #include "mr/job.hpp"
 
 namespace asyncmr::apps {
 
 namespace {
 
-constexpr uint64_t kDistRecordBytes = 12;
 constexpr double kEps = 1e-12;
 
 double EdgeWeight(std::span<const double> weights, size_t i) {
   return weights.empty() ? 1.0 : weights[i];
 }
 
-std::string UniquePrefix(cluster::SimCluster& cluster, const std::string& base) {
-  return "/" + base + "-" + std::to_string(cluster.dfs().stats().files_written);
+/// Distances before the first round: 0 at the source and +inf elsewhere, or
+/// the caller's initial_distances.
+std::vector<double> InitialDistances(const SsspConfig& config, uint32_t n) {
+  if (!config.initial_distances.empty()) {
+    AMR_CHECK_EQ(config.initial_distances.size(), n);
+    return config.initial_distances;
+  }
+  std::vector<double> dist(n, kInfDistance);
+  dist[config.source] = 0.0;
+  return dist;
+}
+
+/// The map-side relaxation sweep (General's mapper, Eager's gemit): each
+/// reached member u min-combines d(u) + w(u, t) for every out-edge and its
+/// own d(u). distance(u) reads d(u) from wherever the caller holds it.
+template <typename DistanceFn>
+void ScatterRelax(const graph::Digraph& g, const std::vector<graph::VertexId>& members,
+                  DistanceFn&& distance, DenseAccumulator& scratch,
+                  mr::MapContext<uint32_t, double>& ctx) {
+  uint64_t ops = 0;
+  for (graph::VertexId u : members) {
+    const double d = distance(u);
+    if (d == kInfDistance) continue;
+    const auto neighbors = g.OutNeighbors(u);
+    const auto weights = g.OutWeights(u);
+    for (size_t i = 0; i < neighbors.size(); ++i) {
+      scratch.Min(neighbors[i], d + EdgeWeight(weights, i));
+    }
+    scratch.Min(u, d);  // keep the current distance in play
+    ops += neighbors.size() + 1;
+  }
+  ctx.AddOps(ops);
+  for (const auto& [t, val] : scratch.DrainSorted()) ctx.Emit(t, val);
+}
+
+/// The global reduce (General's reducer, Eager's greduce): the best candidate.
+void ReduceMin(const uint32_t& v, const std::vector<double>& candidates,
+               mr::ReduceContext<uint32_t, double>& ctx) {
+  double best = kInfDistance;
+  for (double c : candidates) best = std::min(best, c);
+  ctx.AddOps(candidates.size());
+  ctx.Emit(v, best);
 }
 
 /// Applies min-reduced candidates; returns how many distances improved.
@@ -74,73 +111,26 @@ SsspResult GeneralSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
                        const SsspConfig& config) {
   const uint32_t n = g.num_vertices();
   const auto members = partitioning.Members();
-  const auto part_sizes = partitioning.Sizes();
-  const std::string prefix = UniquePrefix(cluster, config.job_prefix + "-gen");
-  const auto images = graph::EncodeAllPartitionImages(g, partitioning);
-  std::vector<uint64_t> image_bytes;
-  for (const auto& img : images) image_bytes.push_back(img.size());
-  auto base_splits = core::StagePartitionFiles(cluster, prefix + "/in", images);
+  const WaveRounds waves = WaveRounds::ForGraph(
+      cluster, config.job_prefix, WaveRounds::Kind::kGeneral, g, partitioning);
 
   SsspResult result;
-  if (config.initial_distances.empty()) {
-    result.distances.assign(n, kInfDistance);
-    result.distances[config.source] = 0.0;
-  } else {
-    AMR_CHECK_EQ(config.initial_distances.size(), n);
-    result.distances = config.initial_distances;
-  }
+  result.distances = InitialDistances(config, n);
   result.trace = core::RunTrace("general-sssp");
   DenseAccumulator scratch(n);
 
   for (uint32_t round = 0; round < config.max_global_iterations; ++round) {
-    mr::JobConfig job_config;
-    job_config.name = config.job_prefix + "-g" + std::to_string(round);
-    job_config.num_reducers = config.num_reducers;
-    job_config.output_path = prefix + "/it" + std::to_string(round);
-
-    std::vector<mr::SplitDesc> splits = base_splits;
-    for (size_t p = 0; p < splits.size(); ++p) {
-      splits[p].input_bytes = image_bytes[p] + kDistRecordBytes * part_sizes[p];
-    }
-
-    mr::Job<uint32_t, double, uint32_t, double> job(cluster, job_config);
+    mr::Job<uint32_t, double, uint32_t, double> job(cluster, waves.RoundJob(round));
     job.set_mapper([&](uint32_t p, mr::MapContext<uint32_t, double>& ctx) {
-      uint64_t ops = 0;
-      for (graph::VertexId u : members[p]) {
-        const double d = result.distances[u];
-        if (d == kInfDistance) continue;
-        const auto neighbors = g.OutNeighbors(u);
-        const auto weights = g.OutWeights(u);
-        for (size_t i = 0; i < neighbors.size(); ++i) {
-          scratch.Min(neighbors[i], d + EdgeWeight(weights, i));
-        }
-        scratch.Min(u, d);  // keep the current distance in play
-        ops += neighbors.size() + 1;
-      }
-      ctx.AddOps(ops);
-      for (const auto& [t, val] : scratch.DrainSorted()) ctx.Emit(t, val);
+      ScatterRelax(g, members[p], [&](graph::VertexId u) { return result.distances[u]; },
+                   scratch, ctx);
     });
-    job.set_reducer([](const uint32_t& v, const std::vector<double>& candidates,
-                       mr::ReduceContext<uint32_t, double>& ctx) {
-      double best = kInfDistance;
-      for (double c : candidates) best = std::min(best, c);
-      ctx.AddOps(candidates.size());
-      ctx.Emit(v, best);
-    });
+    job.set_reducer(ReduceMin);
 
-    auto out = job.RunBlocking(std::move(splits));
+    auto out = job.RunBlocking(waves.splits());
     const uint64_t changed = ApplyDistances(out.records, result.distances);
-
-    core::RoundTrace trace;
-    trace.round = round;
-    trace.start_seconds = out.raw.stats.submit_time;
-    trace.end_seconds = out.raw.stats.finish_time;
-    trace.ops = out.raw.stats.total_ops;
-    trace.shuffle_bytes = out.raw.stats.shuffle_bytes;
-    trace.map_output_bytes = out.raw.stats.map_output_bytes;
-    trace.residual = static_cast<double>(changed);
-    result.trace.AddRound(trace);
-
+    WaveRounds::Record(result.trace, round, out.raw.stats, 0,
+                       static_cast<double>(changed));
     if (changed == 0) {
       result.converged = true;
       break;
@@ -170,12 +160,8 @@ SsspResult EagerSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
   const uint32_t n = g.num_vertices();
   const uint32_t num_parts = partitioning.num_parts;
   const auto members = partitioning.Members();
-  const auto part_sizes = partitioning.Sizes();
-  const std::string prefix = UniquePrefix(cluster, config.job_prefix + "-eag");
-  const auto images = graph::EncodeAllPartitionImages(g, partitioning);
-  std::vector<uint64_t> image_bytes;
-  for (const auto& img : images) image_bytes.push_back(img.size());
-  auto base_splits = core::StagePartitionFiles(cluster, prefix + "/in", images);
+  const WaveRounds waves = WaveRounds::ForGraph(
+      cluster, config.job_prefix, WaveRounds::Kind::kEager, g, partitioning);
 
   // Per-partition vertex records with internal weighted adjacency slices.
   std::vector<std::vector<std::pair<graph::VertexId, double>>> internal_flat(num_parts);
@@ -207,25 +193,17 @@ SsspResult EagerSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
   }
 
   SsspResult result;
-  if (config.initial_distances.empty()) {
-    result.distances.assign(n, kInfDistance);
-    result.distances[config.source] = 0.0;
-  } else {
-    AMR_CHECK_EQ(config.initial_distances.size(), n);
-    result.distances = config.initial_distances;
-  }
+  result.distances = InitialDistances(config, n);
   result.trace = core::RunTrace("eager-sssp");
   DenseAccumulator scratch(n);
   std::vector<double> ext_buf(n, kInfDistance);
 
   using Psj = core::PartialSyncJob<SsspVertex, uint32_t, double>;
   typename Psj::Config psj_config;
-  psj_config.job.num_reducers = config.num_reducers;
   psj_config.local.max_local_iterations = config.max_local_iterations;
   psj_config.local.lcombine = [](const double& a, const double& b) {
     return std::min(a, b);
   };
-  psj_config.gmap_time_scale = config.gmap_time_scale;
   Psj psj(cluster, psj_config);
 
   psj.set_partition_data(
@@ -268,28 +246,10 @@ SsspResult EagerSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
   });
   psj.set_gemit([&](uint32_t p, const core::LocalState<uint32_t, double>& state,
                     mr::MapContext<uint32_t, double>& ctx) {
-    uint64_t ops = 0;
-    for (const SsspVertex& x : records[p]) {
-      const double d = state.at(x.v);
-      if (d == kInfDistance) continue;
-      const auto neighbors = g.OutNeighbors(x.v);
-      const auto weights = g.OutWeights(x.v);
-      for (size_t i = 0; i < neighbors.size(); ++i) {
-        scratch.Min(neighbors[i], d + EdgeWeight(weights, i));
-      }
-      scratch.Min(x.v, d);
-      ops += neighbors.size() + 1;
-    }
-    ctx.AddOps(ops);
-    for (const auto& [t, val] : scratch.DrainSorted()) ctx.Emit(t, val);
+    ScatterRelax(g, members[p], [&](graph::VertexId u) { return state.at(u); },
+                 scratch, ctx);
   });
-  psj.set_greduce([](const uint32_t& v, const std::vector<double>& candidates,
-                     mr::ReduceContext<uint32_t, double>& ctx) {
-    double best = kInfDistance;
-    for (double c : candidates) best = std::min(best, c);
-    ctx.AddOps(candidates.size());
-    ctx.Emit(v, best);
-  });
+  psj.set_greduce(ReduceMin);
 
   for (uint32_t round = 0; round < config.max_global_iterations; ++round) {
     // Freeze external candidates from current global distances.
@@ -312,28 +272,11 @@ SsspResult EagerSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
       for (SsspVertex& x : records[p]) x.ext = ext_buf[x.v];
     }
 
-    psj.mutable_config().job.name = config.job_prefix + "-e" + std::to_string(round);
-    psj.mutable_config().job.output_path = prefix + "/it" + std::to_string(round);
-
-    std::vector<mr::SplitDesc> splits = base_splits;
-    for (size_t p = 0; p < splits.size(); ++p) {
-      splits[p].input_bytes = image_bytes[p] + kDistRecordBytes * part_sizes[p];
-    }
-
-    auto out = psj.RunGlobalIteration(std::move(splits));
+    psj.mutable_config().job = waves.RoundJob(round);
+    auto out = psj.RunGlobalIteration(waves.splits());
     const uint64_t changed = ApplyDistances(out.records, result.distances);
-
-    core::RoundTrace trace;
-    trace.round = round;
-    trace.start_seconds = out.raw.stats.submit_time;
-    trace.end_seconds = out.raw.stats.finish_time;
-    trace.ops = out.raw.stats.total_ops;
-    trace.shuffle_bytes = out.raw.stats.shuffle_bytes;
-    trace.map_output_bytes = out.raw.stats.map_output_bytes;
-    trace.local_iterations = psj.last_local_iterations();
-    trace.residual = static_cast<double>(changed);
-    result.trace.AddRound(trace);
-
+    WaveRounds::Record(result.trace, round, out.raw.stats,
+                       psj.last_local_iterations(), static_cast<double>(changed));
     if (changed == 0) {
       result.converged = true;
       break;
@@ -361,13 +304,7 @@ SsspResult AsyncSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
   DeltaFilter<double> best_sent(plan, kInfDistance, kInfDistance);
 
   SsspResult result;
-  if (config.initial_distances.empty()) {
-    result.distances.assign(n, kInfDistance);
-    result.distances[config.source] = 0.0;
-  } else {
-    AMR_CHECK_EQ(config.initial_distances.size(), n);
-    result.distances = config.initial_distances;
-  }
+  result.distances = InitialDistances(config, n);
   std::vector<double>& dist = result.distances;
 
   async::AsyncConfig engine_config;
@@ -375,8 +312,6 @@ SsspResult AsyncSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
   // Residual is the count of changed distances; terminate when none anywhere.
   engine_config.convergence_threshold = 0.5;
   engine_config.max_iterations_per_worker = config.max_global_iterations;
-  engine_config.compute_time_scale = config.gmap_time_scale;
-  engine_config.checkpoint_interval = config.async_checkpoint_interval;
   engine_config.tuning = config.async_tuning;
   engine_config.name = config.job_prefix + "-async";
   async::AsyncEngine engine(cluster, num_parts, engine_config);

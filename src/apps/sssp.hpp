@@ -28,12 +28,8 @@ struct SsspConfig {
   graph::VertexId source = 0;
   uint32_t max_global_iterations = 2000;
   uint32_t max_local_iterations = 4096;  // eager: per-gmap cap
-  uint32_t num_reducers = 16;
-  double gmap_time_scale = 1.0;
-  /// Async: worker iterations between checkpoints (see AsyncConfig).
-  uint32_t async_checkpoint_interval = 8;
-  /// Async: transport/termination knobs forwarded to the engine (batch
-  /// coalescing, adaptive token backoff) — see async::EngineTuning.
+  /// Async: transport, termination and checkpoint knobs forwarded to the
+  /// engine — see async::EngineTuning.
   async::EngineTuning async_tuning;
   std::string job_prefix = "sssp";
   /// Optional custom initialization (size n). Overrides `source` when

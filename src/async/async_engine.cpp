@@ -241,8 +241,7 @@ void AsyncEngine::BeginCompute(uint32_t p, uint32_t epoch,
 
   const uint64_t ops = ctx.ops_ + merge_ops;
   const double compute_s = static_cast<double>(ops) * spec.per_op_seconds *
-                           config_.compute_time_scale * slowdown * load /
-                           spec.nodes[w.node].speed_factor;
+                           slowdown * load / spec.nodes[w.node].speed_factor;
 
   if (config_.tuning.obs.trace != nullptr && load > 1.0) {
     // A background-load episode is stretching this iteration: future-date the
@@ -300,8 +299,8 @@ void AsyncEngine::FinishCompute(uint32_t p, uint32_t epoch, uint64_t ops,
     }
   }
 
-  if (snapshot_ && config_.checkpoint_interval > 0 &&
-      w.iterations % config_.checkpoint_interval == 0) {
+  if (snapshot_ && config_.tuning.checkpoint_interval > 0 &&
+      w.iterations % config_.tuning.checkpoint_interval == 0) {
     TakeCheckpoint(p, /*free_write=*/false);
   }
 
@@ -386,7 +385,7 @@ void AsyncEngine::EmitBatch(uint32_t p, size_t peer_index, UpdateBatch batch,
       link.pending_clock = clock;
       link.has_pending = true;
       ++w.stats.coalesced_batches;
-      w.stats.coalesced_bytes_saved += config_.update_envelope_bytes;
+      w.stats.coalesced_bytes_saved += kUpdateEnvelopeBytes;
       return;
     }
     link.in_flight = true;
@@ -412,7 +411,7 @@ void AsyncEngine::OpenFlow(uint32_t p, size_t peer_index,
   // OnFlowFailed) — so the Safra sums always balance, retries included.
   ++w.ledger.batches_sent;
   AMR_IF_AUDIT(++audit_batch_flows_in_flight_;);
-  const uint64_t bytes = config_.update_envelope_bytes + payload->payload.size();
+  const uint64_t bytes = kUpdateEnvelopeBytes + payload->payload.size();
   result_.bytes_sent += bytes;
   uint64_t fid = 0;
   if (config_.tuning.obs.trace != nullptr) {

@@ -129,10 +129,14 @@ std::vector<U> DecodeBatch(const UpdateBatch& batch) {
   return out;
 }
 
-/// The transport, termination and fault knobs applications expose to callers
-/// without replicating the whole AsyncConfig (apps own the other AsyncConfig
-/// fields — thresholds, caps, names — and copy this struct into
-/// AsyncConfig::tuning). Benches sweep them for the P >> slots regime.
+/// Wire envelope bytes per update batch; record bytes are the real encoded
+/// size.
+inline constexpr uint64_t kUpdateEnvelopeBytes = 64;
+
+/// The transport, termination, checkpoint and fault knobs applications
+/// expose to callers without replicating the whole AsyncConfig (apps own the
+/// other AsyncConfig fields — thresholds, caps, names — and copy this struct
+/// into AsyncConfig::tuning). Benches sweep them for the P >> slots regime.
 struct EngineTuning {
   /// Per-peer update-batch coalescing: while a flow to a peer is in flight,
   /// merge subsequent emissions to that peer into one pending batch (records
@@ -156,6 +160,13 @@ struct EngineTuning {
   /// Pause between termination-token circuits that fail to prove termination
   /// (the base, and in adaptive mode the minimum, inter-circuit pause).
   double token_backoff_s = 0.25;
+  /// Completed iterations between worker checkpoints (0 = only the free
+  /// initial snapshot). Checkpoints are taken only when a snapshot callback
+  /// is installed; crash injection (ClusterSpec::worker_crash_rate > 0)
+  /// requires both snapshot and restore callbacks. Writes are write-behind
+  /// (see checkpoint.hpp): they never perturb the failure-free timeline, but
+  /// a crash can only restore a snapshot whose DFS write had completed.
+  uint32_t checkpoint_interval = 8;
 
   // --- robustness under adversarial networks --------------------------------
   // (Failed update batches are retried on a fixed backoff schedule; see
@@ -213,25 +224,13 @@ struct AsyncConfig {
   double convergence_threshold = 1e-5;
   /// Hard per-worker iteration cap; a capped run terminates converged=false.
   uint32_t max_iterations_per_worker = 10'000;
-  /// Wire envelope bytes per batch; record bytes are the real encoded size.
-  uint64_t update_envelope_bytes = 64;
   /// Virtual ops charged per delivered update record, folded into the
   /// receiver's *next* iteration's compute time — applying a peer's batch is
   /// not free (the wave engines pay the equivalent inside reduce). Records
   /// delivered to a worker that never iterates again are not charged.
   double merge_ops_per_record = 1.0;
-  /// Compute-time multiplier (models intra-worker thread pools, like
-  /// gmap_time_scale).
-  double compute_time_scale = 1.0;
-  /// Transport, termination and fault knobs (see EngineTuning).
+  /// Transport, termination, checkpoint and fault knobs (see EngineTuning).
   EngineTuning tuning;
-  /// Completed iterations between worker checkpoints (0 = only the free
-  /// initial snapshot). Checkpoints are taken only when a snapshot callback
-  /// is installed; crash injection (ClusterSpec::worker_crash_rate > 0)
-  /// requires both snapshot and restore callbacks. Writes are write-behind
-  /// (see checkpoint.hpp): they never perturb the failure-free timeline, but
-  /// a crash can only restore a snapshot whose DFS write had completed.
-  uint32_t checkpoint_interval = 8;
   std::string name = "async";
 };
 

@@ -160,7 +160,7 @@ TEST(Adversarial, CrashDuringPartitionStillConvergesToOracle) {
   const auto g = TestGraph(1500);
   const auto part = graph::MultilevelPartition(g, 8);
   apps::PageRankConfig config;
-  config.async_checkpoint_interval = 4;
+  config.async_tuning.checkpoint_interval = 4;
   auto spec = PartitionedSpec();
   spec.worker_crash_rate = 0.6;
   spec.worker_restart_delay_s = 0.5;
@@ -229,7 +229,7 @@ TEST(Adversarial, AllKnobsOnIsBitIdenticalAcrossRuns) {
   const auto g = TestGraph(1200, 9);
   const auto part = graph::MultilevelPartition(g, 6);
   apps::PageRankConfig config;
-  config.async_checkpoint_interval = 4;
+  config.async_tuning.checkpoint_interval = 4;
   config.async_tuning.suspicion_timeout_s = 0.15;
   config.async_tuning.checkpoint_corruption_prob = 0.3;
   auto run = [&](async::AsyncResult* stats, uint64_t* fired) {
@@ -327,7 +327,7 @@ TEST(CheckpointIntegrity, CorruptionInjectionRecoversToOracle) {
   const auto g = TestGraph(1500);
   const auto part = graph::MultilevelPartition(g, 8);
   apps::PageRankConfig config;
-  config.async_checkpoint_interval = 4;
+  config.async_tuning.checkpoint_interval = 4;
   config.async_tuning.checkpoint_corruption_prob = 1.0;
   auto spec = QuietSpec();
   spec.worker_crash_rate = 0.6;

@@ -365,7 +365,7 @@ TEST(AsyncPageRank, CheckpointingOffTheCriticalPathAtCrashRateZero) {
   const auto part = graph::MultilevelPartition(g, 8);
   auto run = [&](uint32_t interval, async::AsyncResult* stats, uint64_t* fired) {
     apps::PageRankConfig config;
-    config.async_checkpoint_interval = interval;
+    config.async_tuning.checkpoint_interval = interval;
     cluster::SimCluster sim(QuietSpec());
     auto result =
         apps::AsyncPageRank(sim, g, part, config, async::kUnboundedStaleness, stats);
@@ -411,7 +411,7 @@ TEST(AsyncPageRank, CrashRecoveryConvergesToOracle) {
   const auto g = TestGraph(1500);
   const auto part = graph::MultilevelPartition(g, 8);
   apps::PageRankConfig config;
-  config.async_checkpoint_interval = 4;
+  config.async_tuning.checkpoint_interval = 4;
   cluster::SimCluster sim(CrashySpec(0.6));
   async::AsyncResult stats;
   const auto result =
@@ -431,7 +431,7 @@ TEST(AsyncPageRank, CrashRecoveryUnderBoundedStalenessConvergesToOracle) {
   const auto g = TestGraph(1500, 21);
   const auto part = graph::MultilevelPartition(g, 8);
   apps::PageRankConfig config;
-  config.async_checkpoint_interval = 4;
+  config.async_tuning.checkpoint_interval = 4;
   cluster::SimCluster sim(CrashySpec(0.6));
   async::AsyncResult stats;
   const auto result = apps::AsyncPageRank(sim, g, part, config, /*staleness=*/2,
@@ -445,7 +445,7 @@ TEST(AsyncPageRank, CrashScheduleIsDeterministic) {
   const auto g = TestGraph(1200, 9);
   const auto part = graph::MultilevelPartition(g, 6);
   apps::PageRankConfig config;
-  config.async_checkpoint_interval = 4;
+  config.async_tuning.checkpoint_interval = 4;
   auto run = [&](async::AsyncResult* stats, uint64_t* fired) {
     cluster::SimCluster sim(CrashySpec(0.6));
     auto result = apps::AsyncPageRank(sim, g, part, config,
@@ -470,7 +470,7 @@ TEST(AsyncSssp, CrashRecoveryMatchesDijkstra) {
       graph::WithRandomWeights(TestGraph(2000, 13), 1.0, 10.0, /*seed=*/99);
   const auto part = graph::MultilevelPartition(g, 8);
   apps::SsspConfig config;
-  config.async_checkpoint_interval = 4;
+  config.async_tuning.checkpoint_interval = 4;
   cluster::SimCluster sim(CrashySpec(0.6));
   async::AsyncResult stats;
   const auto result =
@@ -491,7 +491,7 @@ TEST(AsyncJacobi, CrashRecoveryConvergesToSolution) {
   const auto part = graph::MultilevelPartition(g, 8);
   apps::JacobiConfig config;
   config.tolerance = 1e-6;
-  config.async_checkpoint_interval = 4;
+  config.async_tuning.checkpoint_interval = 4;
   cluster::SimCluster sim(CrashySpec(0.6));
   async::AsyncResult stats;
   const auto result = apps::AsyncJacobi(sim, g, b, part, config,
@@ -780,7 +780,7 @@ TEST(AsyncCoalescing, PageRankMatchesOracleAndSavesFlows) {
   // each merged emission avoided one flow and one wire envelope.
   EXPECT_GT(stats.coalesced_batches, 0u);
   EXPECT_EQ(stats.coalesced_bytes_saved,
-            stats.coalesced_batches * async::AsyncConfig{}.update_envelope_bytes);
+            stats.coalesced_batches * async::kUpdateEnvelopeBytes);
   uint64_t worker_coalesced = 0;
   uint64_t sent = 0;
   uint64_t received = 0;
@@ -884,7 +884,7 @@ TEST(AsyncCoalescing, SurvivesCrashRecovery) {
   const auto g = TestGraph(1500, 31);
   const auto part = graph::MultilevelPartition(g, 8);
   apps::PageRankConfig config;
-  config.async_checkpoint_interval = 4;
+  config.async_tuning.checkpoint_interval = 4;
   config.async_tuning.coalesce_batches = true;
   cluster::ClusterSpec spec = CrashySpec(0.6);
   spec.topology.node_bandwidth_Bps = 12.5e6;  // lingering flows + crashes

@@ -5,9 +5,12 @@
 
 #include <cmath>
 
+#include "apps/components.hpp"
+#include "apps/jacobi.hpp"
 #include "apps/kmeans.hpp"
 #include "apps/pagerank.hpp"
 #include "apps/sssp.hpp"
+#include "common/rng.hpp"
 #include "graph/generator.hpp"
 #include "graph/partitioner.hpp"
 
@@ -62,6 +65,112 @@ TEST(Integration, FailuresCostTimeButNotCorrectness) {
 
   EXPECT_EQ(MaxDiff(base.ranks, injected.ranks), 0.0);  // identical results
   EXPECT_GT(injected.trace.total_seconds(), base.trace.total_seconds());
+}
+
+/// One wave run reduced to what the failure test compares: its trace and its
+/// answer vector.
+struct WaveRun {
+  core::RunTrace trace;
+  std::vector<double> answer;
+};
+
+/// Runs solve on a failure-free cluster and on the same cluster with
+/// task_failure_prob = 0.1 (the seed of
+/// GeneralPageRank.FaultInjectionIsDeterministic). The retries must show in
+/// the trace and must not move the answer.
+template <typename Solve>
+void ExpectRetriesCountedNotFelt(const std::string& name, Solve solve) {
+  auto spec = cluster::ClusterSpec::Ec2Large8();
+  spec.seed = 1234;
+  cluster::SimCluster clean(spec);
+  const WaveRun base = solve(clean);
+  spec.task_failure_prob = 0.1;
+  cluster::SimCluster faulty(spec);
+  const WaveRun injected = solve(faulty);
+  EXPECT_EQ(base.trace.total_failed_attempts(), 0u) << name;
+  EXPECT_GT(injected.trace.total_failed_attempts(), 0u) << name;
+  EXPECT_EQ(base.answer, injected.answer) << name;
+}
+
+TEST(Integration, EveryWaveDriverReportsFailedAttempts) {
+  // Bounded runs, as in FaultInjectionIsDeterministic: twelve global rounds
+  // of at most eight local iterations retry enough attempts, and
+  // convergence is not the point.
+  constexpr uint32_t kRounds = 12;
+  constexpr uint32_t kLocalIterations = 8;
+  apps::PageRankConfig pr;
+  pr.max_global_iterations = kRounds;
+  pr.max_local_iterations = kLocalIterations;
+  apps::SsspConfig sssp;
+  sssp.max_global_iterations = kRounds;
+  sssp.max_local_iterations = kLocalIterations;
+  apps::JacobiConfig jacobi;
+  jacobi.max_global_iterations = kRounds;
+  jacobi.max_local_iterations = kLocalIterations;
+  apps::ComponentsConfig cc;
+  cc.max_global_iterations = kRounds;
+  cc.max_local_iterations = kLocalIterations;
+  const auto g = PipelineGraph();
+  const auto part = graph::MultilevelPartition(g, 8);
+  const auto gw = graph::WithRandomWeights(g, 1.0, 10.0, 2);
+  const auto g_sym = apps::Symmetrized(g);
+  const auto part_sym = graph::MultilevelPartition(g_sym, 8);
+  std::vector<double> b(g_sym.num_vertices());
+  Rng rng(5);
+  for (double& v : b) v = rng.NextDouble(-1.0, 1.0);
+  apps::CensusLikeConfig data_config;
+  data_config.num_points = 2000;
+  data_config.dims = 8;
+  data_config.planted_clusters = 4;
+  const auto data = apps::GenerateCensusLike(data_config);
+  apps::KMeansConfig km;
+  km.k = 4;
+  km.num_partitions = 8;
+  km.threshold = 0.05;
+  km.max_global_iterations = kRounds;
+  km.max_local_iterations = kLocalIterations;
+  auto labels = [](const apps::ComponentsResult& r) {
+    return WaveRun{r.trace, std::vector<double>(r.labels.begin(), r.labels.end())};
+  };
+
+  ExpectRetriesCountedNotFelt("GeneralPageRank", [&](cluster::SimCluster& sim) {
+    const auto r = apps::GeneralPageRank(sim, g, part, pr);
+    return WaveRun{r.trace, r.ranks};
+  });
+  ExpectRetriesCountedNotFelt("EagerPageRank", [&](cluster::SimCluster& sim) {
+    const auto r = apps::EagerPageRank(sim, g, part, pr);
+    return WaveRun{r.trace, r.ranks};
+  });
+  ExpectRetriesCountedNotFelt("GeneralSssp", [&](cluster::SimCluster& sim) {
+    const auto r = apps::GeneralSssp(sim, gw, part, sssp);
+    return WaveRun{r.trace, r.distances};
+  });
+  ExpectRetriesCountedNotFelt("EagerSssp", [&](cluster::SimCluster& sim) {
+    const auto r = apps::EagerSssp(sim, gw, part, sssp);
+    return WaveRun{r.trace, r.distances};
+  });
+  ExpectRetriesCountedNotFelt("GeneralJacobi", [&](cluster::SimCluster& sim) {
+    const auto r = apps::GeneralJacobi(sim, g_sym, b, part_sym, jacobi);
+    return WaveRun{r.trace, r.x};
+  });
+  ExpectRetriesCountedNotFelt("EagerJacobi", [&](cluster::SimCluster& sim) {
+    const auto r = apps::EagerJacobi(sim, g_sym, b, part_sym, jacobi);
+    return WaveRun{r.trace, r.x};
+  });
+  ExpectRetriesCountedNotFelt("GeneralKMeans", [&](cluster::SimCluster& sim) {
+    const auto r = apps::GeneralKMeans(sim, data, km);
+    return WaveRun{r.trace, r.centroids};
+  });
+  ExpectRetriesCountedNotFelt("EagerKMeans", [&](cluster::SimCluster& sim) {
+    const auto r = apps::EagerKMeans(sim, data, km);
+    return WaveRun{r.trace, r.centroids};
+  });
+  ExpectRetriesCountedNotFelt("GeneralComponents", [&](cluster::SimCluster& sim) {
+    return labels(apps::GeneralComponents(sim, g, part, cc));
+  });
+  ExpectRetriesCountedNotFelt("EagerComponents", [&](cluster::SimCluster& sim) {
+    return labels(apps::EagerComponents(sim, g, part, cc));
+  });
 }
 
 TEST(Integration, SpeculativeExecutionHelpsUnderStragglers) {

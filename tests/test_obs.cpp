@@ -165,7 +165,7 @@ ObservedRun RunObserved(const cluster::ClusterSpec& spec, uint32_t staleness,
   const auto g = TestGraph();
   const auto part = graph::MultilevelPartition(g, 8);
   apps::PageRankConfig config;
-  config.async_checkpoint_interval = 4;
+  config.async_tuning.checkpoint_interval = 4;
   config.async_tuning.obs.trace = trace;
   config.async_tuning.obs.metrics = metrics;
   config.async_tuning.obs.metrics_interval_s = interval_s;
