@@ -10,6 +10,13 @@
 
 namespace asyncmr::cluster {
 
+namespace {
+
+/// Attempts per wave task; the last one never draws a transient failure.
+constexpr uint32_t kMaxTaskAttempts = 4;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // WaveRunner: drives one wave of tasks through the slot/cost model.
 // ---------------------------------------------------------------------------
@@ -182,9 +189,9 @@ class SimCluster::WaveRunner
     const double total_s = input_s + compute_s + output_s;  // startup already paid
 
     // --- transient failure draw ---------------------------------------------
-    // Hadoop kills the job after max_task_attempts; we instead force the last
+    // Hadoop kills the job after kMaxTaskAttempts; we instead force the last
     // allowed attempt to succeed so simulations always make progress.
-    const bool may_fail = st.attempts < spec.max_task_attempts;
+    const bool may_fail = st.attempts < kMaxTaskAttempts;
     const bool fails = may_fail && cluster_.rng_.NextBool(spec.task_failure_prob);
     auto self = shared_from_this();
     if (fails) {

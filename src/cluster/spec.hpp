@@ -59,7 +59,6 @@ struct ClusterSpec {
   // --- fault injection -------------------------------------------------------
   /// Probability an attempt fails partway (transient; Hadoop re-executes).
   double task_failure_prob = 0.0;
-  uint32_t max_task_attempts = 4;
   /// Poisson crash rate for the async engine's long-lived workers, in crashes
   /// per worker per virtual second (0 = no worker crashes). Wave tasks get
   /// fault tolerance from deterministic re-execution (task_failure_prob

@@ -62,7 +62,6 @@ BenchOptions BenchOptions::FromEnv() {
   opts.scale = GetEnvDouble("AMR_SCALE", 1.0);
   if (opts.scale <= 0) opts.scale = 1.0;
   opts.seed = static_cast<uint64_t>(GetEnvInt("AMR_SEED", 42));
-  opts.threads = static_cast<int>(GetEnvInt("AMR_THREADS", 0));
   opts.csv = GetEnvBool("AMR_CSV", false);
   opts.trace_out = GetEnv("AMR_TRACE_OUT").value_or("");
   opts.metrics_out = GetEnv("AMR_METRICS_OUT").value_or("");

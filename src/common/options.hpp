@@ -4,7 +4,6 @@
 // Every figure bench honours:
 //   AMR_SCALE      — multiplies workload sizes (default 1.0 = paper scale)
 //   AMR_SEED       — master RNG seed (default 42)
-//   AMR_THREADS    — host execution threads (default: hardware)
 //   AMR_CSV        — when set, benches also emit machine-readable CSV rows
 //   AMR_LOG_LEVEL  — logger threshold: debug|info|warn|error|off
 //   AMR_TRACE_OUT  — write a Chrome trace-event JSON of the run here
@@ -34,7 +33,6 @@ bool GetEnvBool(const std::string& name, bool fallback);
 struct BenchOptions {
   double scale = 1.0;       // workload scale factor vs the paper
   uint64_t seed = 42;       // master seed
-  int threads = 0;          // 0 = hardware concurrency
   bool csv = false;         // also print CSV rows
   std::string trace_out;    // Chrome trace-event JSON path; empty = off
   std::string metrics_out;  // metrics time-series JSON path; empty = off

@@ -25,25 +25,19 @@
 //   - lreduce visits keys in first-emission order. Emission follows xs order,
 //     so that order — and with it the last writer of any key that lreduce
 //     writes via EmitLocal — is a pure function of the inputs.
-//   - lmap invocations may run on a thread pool (the paper's Section IV notes
+//   - lmap runs serially on the calling thread. The paper's Section IV notes
 //     the local operations "can use a thread-pool to extract further
-//     parallelism"). Per-chunk emitters merge in chunk order, which keeps
-//     first-emission order and every grouped value list identical to a serial
-//     run. With a combiner, each chunk folds its own emissions and the merge
-//     folds the chunk results, so the fold is reassociated: results are
-//     identical run to run, but may differ from serial in the last bits.
+//     parallelism"; that intra-host pool is modeled in virtual time by
+//     PartialSyncJob::Config::gmap_time_scale, not executed.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/thread_pool.hpp"
 #include "core/flat_table.hpp"
 #include "mr/context.hpp"
 
@@ -90,25 +84,6 @@ class LocalIntermediate {
     combined_.clear();
     ops_ = 0;
     records_ = 0;
-  }
-
-  /// Merges another emitter's output (thread-pool chunk merge). Chunks
-  /// arrive in chunk order and each table iterates in first-emission order,
-  /// so the merged key order is the serial run's first-emission order.
-  void Merge(LocalIntermediate&& other) {
-    if (combine_) {
-      for (auto& [k, v] : other.combined_) {
-        auto [it, inserted] = combined_.try_emplace(k, v);
-        if (!inserted) it->second = combine_(it->second, v);
-      }
-    } else {
-      for (auto& [k, vs] : other.groups_) {
-        auto& dst = groups_[k];
-        dst.insert(dst.end(), vs.begin(), vs.end());
-      }
-    }
-    ops_ += other.ops_;
-    records_ += other.records_;
   }
 
  private:
@@ -164,8 +139,6 @@ class LocalMapReduce {
 
   struct Config {
     uint32_t max_local_iterations = 1000;
-    /// >1 runs lmap over a thread pool (deterministic chunk merge).
-    uint32_t lmap_threads = 1;
     /// Optional associative combiner folded on EmitLocalIntermediate().
     typename LocalIntermediate<LK, LV>::CombineFn lcombine;
     /// Optional hook before each lmap phase (e.g. snapshot the hashtable into
@@ -227,27 +200,7 @@ class LocalMapReduce {
   void RunLmapPhase(std::span<const X> xs, const LocalState<LK, LV>& state,
                     LocalIntermediate<LK, LV>& out) const {
     out.Clear();
-    if (config_.lmap_threads <= 1 || xs.size() < 2 * config_.lmap_threads) {
-      for (const X& x : xs) lmap_(x, state, out);
-      return;
-    }
-    // Thread-pool execution with deterministic chunk-order merge.
-    const size_t chunks = config_.lmap_threads;
-    const size_t chunk_size = (xs.size() + chunks - 1) / chunks;
-    std::vector<LocalIntermediate<LK, LV>> partials(
-        chunks, LocalIntermediate<LK, LV>(config_.lcombine));
-    ThreadPool& pool = GlobalThreadPool();
-    std::vector<std::future<void>> futs;
-    futs.reserve(chunks);
-    for (size_t c = 0; c < chunks; ++c) {
-      futs.push_back(pool.Submit([this, &xs, &state, &partials, c, chunk_size] {
-        const size_t lo = c * chunk_size;
-        const size_t hi = std::min(xs.size(), lo + chunk_size);
-        for (size_t i = lo; i < hi; ++i) lmap_(xs[i], state, partials[c]);
-      }));
-    }
-    for (auto& f : futs) f.get();
-    for (auto& p : partials) out.Merge(std::move(p));
+    for (const X& x : xs) lmap_(x, state, out);
   }
 
   LMapFn lmap_;

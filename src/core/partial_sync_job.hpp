@@ -50,10 +50,6 @@ class PartialSyncJob {
     /// Compute-time multiplier for gmap tasks; < 1 models the thread pool the
     /// paper suggests for lmap/lreduce inside one host.
     double gmap_time_scale = 1.0;
-    /// Optional combiner for global emissions (paper Section VI: combiners
-    /// compose with partial synchronization).
-    typename mr::Job<K, V, K, V>::Combiner gcombiner;
-    mr::CombineScope gcombine_scope = mr::CombineScope::kNone;
   };
 
   PartialSyncJob(cluster::SimCluster& cluster, Config config)
@@ -79,9 +75,6 @@ class PartialSyncJob {
     last_local_stats_.assign(splits.size(), LocalRunStats{});
 
     mr::Job<K, V, K, V> job(cluster_, config_.job);
-    if (config_.gcombiner) {
-      job.set_combiner(config_.gcombiner, config_.gcombine_scope);
-    }
 
     // --- gmap: Figure 1's construction --------------------------------------
     job.set_mapper([this](uint32_t partition, GlobalMapCtx& ctx) {

@@ -67,8 +67,6 @@ class MapContext {
   /// Declares intra-task parallelism (see WorkReport::time_scale).
   void set_time_scale(double scale) { time_scale_ = scale; }
 
-  Counters& counters() { return counters_; }
-
   /// Encodes everything into per-reducer streams.
   MapTaskOutput Finish() {
     MapTaskOutput out;
@@ -95,7 +93,6 @@ class MapContext {
       }
     }
     out.ops = ops_;
-    out.counters = std::move(counters_);
     return out;
   }
 
@@ -135,7 +132,6 @@ class MapContext {
   uint64_t ops_ = 0;
   uint64_t records_ = 0;
   double time_scale_ = 1.0;
-  Counters counters_;
 };
 
 template <typename K, typename V>
@@ -147,21 +143,18 @@ class ReduceContext {
   }
 
   void AddOps(uint64_t n) { ops_ += n; }
-  Counters& counters() { return counters_; }
 
   ReduceTaskOutput Finish() {
     ReduceTaskOutput out;
     out.records = writer_.count();
     out.output = std::move(writer_).Finish();
     out.ops = ops_;
-    out.counters = std::move(counters_);
     return out;
   }
 
  private:
   serde::KvWriter<K, V> writer_;
   uint64_t ops_ = 0;
-  Counters counters_;
 };
 
 }  // namespace asyncmr::mr

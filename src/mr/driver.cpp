@@ -78,7 +78,6 @@ void StartReduceWave(const std::shared_ptr<JobState>& st,
     MapTaskOutput& out = st->map_outputs[outcome.task_index];
     st->result.stats.map_output_bytes += out.total_bytes();
     st->result.stats.map_records += out.records;
-    st->result.counters.Merge(out.counters);
     for (uint32_t r = 0; r < st->config.num_reducers; ++r) {
       if (out.per_reducer[r].empty()) continue;
       st->node_streams[{outcome.node, r}].push_back(&out.per_reducer[r]);
@@ -136,7 +135,6 @@ void StartReduceWave(const std::shared_ptr<JobState>& st,
                          for (const cluster::TaskOutcome& o : wave.tasks) {
                            ReduceTaskOutput& out = (*reduce_results)[o.task_index];
                            st->result.stats.reduce_records += out.records;
-                           st->result.counters.Merge(out.counters);
                            st->result.reduce_outputs[o.task_index] =
                                std::move(out.output);
                            st->result.reduce_nodes[o.task_index] = o.node;

@@ -139,7 +139,9 @@ class Job {
     const uint64_t input_records = records.size();
 
     ReduceCtx ctx;
-    if (config_.charge_sort && input_records > 1) {
+    // Sort-phase cost: ops charged per record*log2(records) during the reduce
+    // merge (Hadoop's sort/merge before reduction).
+    if (input_records > 1) {
       ctx.AddOps(static_cast<uint64_t>(
           static_cast<double>(input_records) *
           std::log2(static_cast<double>(input_records))));

@@ -1,9 +1,8 @@
 // Shared MapReduce engine types: splits, per-task outputs, job configuration
-// and results, and user-visible counters (Hadoop-style).
+// and results.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -12,23 +11,6 @@
 #include "serde/buffer.hpp"
 
 namespace asyncmr::mr {
-
-/// Named monotonic counters, mergeable across tasks (Hadoop Counters).
-class Counters {
- public:
-  void Increment(const std::string& name, int64_t delta = 1) { values_[name] += delta; }
-  int64_t Get(const std::string& name) const {
-    auto it = values_.find(name);
-    return it == values_.end() ? 0 : it->second;
-  }
-  void Merge(const Counters& other) {
-    for (const auto& [k, v] : other.values_) values_[k] += v;
-  }
-  const std::map<std::string, int64_t>& values() const { return values_; }
-
- private:
-  std::map<std::string, int64_t> values_;
-};
 
 /// Describes one map input split: where its bytes live and how big it is.
 /// The actual records are reachable from the map closure (in-memory state
@@ -47,7 +29,6 @@ struct MapTaskOutput {
   uint64_t records = 0;
   /// Compute-time multiplier (see cluster::WorkReport::time_scale).
   double time_scale = 1.0;
-  Counters counters;
 
   uint64_t total_bytes() const {
     uint64_t sum = 0;
@@ -61,7 +42,6 @@ struct ReduceTaskOutput {
   serde::Buffer output;
   uint64_t ops = 0;
   uint64_t records = 0;
-  Counters counters;
 };
 
 struct JobConfig {
@@ -72,9 +52,6 @@ struct JobConfig {
   /// for terminal jobs whose output is consumed in memory.
   bool write_output_to_dfs = true;
   std::string output_path = "/out";
-  /// Sort-phase cost: ops charged per record*log2(records) during the reduce
-  /// merge (Hadoop's sort/merge before reduction).
-  bool charge_sort = true;
 };
 
 struct JobStats {
@@ -102,7 +79,6 @@ struct JobResult {
   std::vector<net::NodeId> reduce_nodes;
   /// DFS paths of committed outputs (when write_output_to_dfs).
   std::vector<std::string> output_files;
-  Counters counters;
 };
 
 }  // namespace asyncmr::mr

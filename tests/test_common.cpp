@@ -1,21 +1,16 @@
-// Unit tests: common utilities (status, rng, stats, queue, pool, strings).
+// Unit tests: common utilities (status, rng, stats, strings).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <set>
-#include <thread>
 
 #include "common/logging.hpp"
-#include "common/mpmc_queue.hpp"
 #include "common/options.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/status.hpp"
 #include "common/stopwatch.hpp"
 #include "common/string_util.hpp"
-#include "common/thread_pool.hpp"
 
 namespace asyncmr {
 namespace {
@@ -290,188 +285,6 @@ TEST(FitPowerLaw, RecoversExponent) {
   // larger k_min shrinks the discretization bias.
   const double est = FitPowerLawExponent(samples, 5);
   EXPECT_NEAR(est, alpha, 0.25);
-}
-
-// --- MpmcQueue ------------------------------------------------------------------
-
-TEST(MpmcQueue, FifoSingleThread) {
-  MpmcQueue<int> q;
-  q.Push(1);
-  q.Push(2);
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_EQ(q.Pop().value(), 2);
-}
-
-TEST(MpmcQueue, TryPopEmpty) {
-  MpmcQueue<int> q;
-  EXPECT_FALSE(q.TryPop().has_value());
-}
-
-TEST(MpmcQueue, BoundedTryPushFullFails) {
-  MpmcQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3));
-}
-
-TEST(MpmcQueue, CloseDrainsThenEnds) {
-  MpmcQueue<int> q;
-  q.Push(1);
-  q.Close();
-  EXPECT_FALSE(q.Push(2));
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_FALSE(q.Pop().has_value());
-}
-
-TEST(MpmcQueue, ConcurrentProducersConsumers) {
-  MpmcQueue<int> q(64);
-  constexpr int kPerProducer = 2000;
-  std::atomic<long> sum{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < 3; ++p) {
-    threads.emplace_back([&q] {
-      for (int i = 1; i <= kPerProducer; ++i) q.Push(i);
-    });
-  }
-  for (int c = 0; c < 3; ++c) {
-    threads.emplace_back([&q, &sum] {
-      while (auto v = q.Pop()) sum += *v;
-    });
-  }
-  for (int p = 0; p < 3; ++p) threads[p].join();
-  q.Close();
-  for (int c = 3; c < 6; ++c) threads[c].join();
-  EXPECT_EQ(sum.load(), 3L * kPerProducer * (kPerProducer + 1) / 2);
-}
-
-TEST(MpmcQueue, ConcurrentDeliveryIsExactlyOnce) {
-  // Tight capacity forces constant producer/consumer blocking; every pushed
-  // value must come out exactly once across consumers.
-  MpmcQueue<int> q(4);
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr int kPerProducer = 5000;
-  std::vector<std::atomic<int>> seen(kProducers * kPerProducer);
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(q.Push(p * kPerProducer + i));
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&q, &seen] {
-      while (auto v = q.Pop()) seen[*v]++;
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) threads[p].join();
-  q.Close();
-  for (int c = kProducers; c < kProducers + kConsumers; ++c) threads[c].join();
-  for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
-}
-
-TEST(MpmcQueue, CloseUnblocksFullQueueProducers) {
-  MpmcQueue<int> q(1);
-  ASSERT_TRUE(q.Push(0));
-  std::atomic<int> rejected{0};
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 3; ++p) {
-    producers.emplace_back([&q, &rejected] {
-      if (!q.Push(1)) rejected++;  // blocks on the full queue until Close
-    });
-  }
-  // Give the producers a moment to block, then close under them.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.Close();
-  for (auto& t : producers) t.join();
-  EXPECT_EQ(rejected.load(), 3);
-  EXPECT_EQ(q.Pop().value(), 0);  // pre-close item still drains
-  EXPECT_FALSE(q.Pop().has_value());
-}
-
-TEST(MpmcQueue, CloseUnblocksWaitingConsumers) {
-  MpmcQueue<int> q;
-  std::atomic<int> empties{0};
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 3; ++c) {
-    consumers.emplace_back([&q, &empties] {
-      if (!q.Pop().has_value()) empties++;  // blocks on the empty queue
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.Close();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(empties.load(), 3);
-}
-
-TEST(MpmcQueue, ConcurrentTryOpsNeverBlockAndNeverLose) {
-  MpmcQueue<int> q(8);
-  constexpr int kPerProducer = 20000;
-  std::atomic<long> pushed_sum{0};
-  std::atomic<long> popped_sum{0};
-  std::atomic<bool> done{false};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < 2; ++p) {
-    threads.emplace_back([&] {
-      for (int i = 1; i <= kPerProducer; ++i) {
-        while (!q.TryPush(i)) std::this_thread::yield();
-        pushed_sum += i;
-      }
-    });
-  }
-  for (int c = 0; c < 2; ++c) {
-    threads.emplace_back([&] {
-      while (true) {
-        if (auto v = q.TryPop()) {
-          popped_sum += *v;
-        } else if (done.load()) {
-          if (auto last = q.TryPop()) popped_sum += *last;
-          else break;
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-  threads[0].join();
-  threads[1].join();
-  done = true;
-  threads[2].join();
-  threads[3].join();
-  EXPECT_EQ(pushed_sum.load(), popped_sum.load());
-  EXPECT_EQ(q.size(), 0u);
-}
-
-// --- ThreadPool ------------------------------------------------------------------
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(3);
-  auto f = pool.Submit([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, ParallelForCoversRange) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(500);
-  pool.ParallelFor(0, hits.size(), [&](size_t i) { hits[i]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForEmptyRange) {
-  ThreadPool pool(2);
-  bool ran = false;
-  pool.ParallelFor(5, 5, [&](size_t) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
-TEST(ThreadPool, ChunkedCoversExactly) {
-  ThreadPool pool(4);
-  std::atomic<long> total{0};
-  pool.ParallelForChunked(10, 1000, [&](size_t lo, size_t hi) {
-    total += static_cast<long>(hi - lo);
-  });
-  EXPECT_EQ(total.load(), 990);
 }
 
 // --- strings --------------------------------------------------------------------

@@ -117,39 +117,6 @@ TEST(LocalMapReduce, CombinerMatchesPlainGrouping) {
   }
 }
 
-TEST(LocalMapReduce, ThreadPoolMatchesSerial) {
-  std::vector<uint32_t> xs(200);
-  for (uint32_t i = 0; i < xs.size(); ++i) xs[i] = i;
-  auto lmap = [](const uint32_t& x, const LocalState<uint32_t, double>&,
-                 LocalIntermediate<uint32_t, double>& out) {
-    out.EmitLocalIntermediate(x % 7, static_cast<double>(x));
-  };
-  auto lreduce = [](const uint32_t& k, const std::vector<double>& vs,
-                    const LocalState<uint32_t, double>&,
-                    LocalReduceContext<uint32_t, double>& ctx) {
-    double sum = 0;
-    for (double v : vs) sum += v;
-    ctx.EmitLocal(k, sum);
-  };
-  auto once = [](const LocalState<uint32_t, double>&,
-                 const LocalState<uint32_t, double>&, uint32_t) { return true; };
-
-  LocalState<uint32_t, double> serial_state;
-  LocalMapReduce<uint32_t, uint32_t, double> serial(lmap, lreduce, once);
-  serial.Run(xs, serial_state);
-
-  LocalMapReduce<uint32_t, uint32_t, double>::Config config;
-  config.lmap_threads = 4;
-  LocalState<uint32_t, double> parallel_state;
-  LocalMapReduce<uint32_t, uint32_t, double> parallel(lmap, lreduce, once, config);
-  parallel.Run(xs, parallel_state);
-
-  ASSERT_EQ(serial_state.size(), parallel_state.size());
-  for (const auto& [k, v] : serial_state) {
-    EXPECT_DOUBLE_EQ(v, parallel_state.at(k));
-  }
-}
-
 TEST(LocalMapReduce, OnIterationStartHookRuns) {
   std::vector<uint32_t> xs{1, 2, 3};
   int hook_calls = 0;
@@ -216,9 +183,6 @@ TEST(LocalMapReduce, LreduceSeesKeysInFirstEmissionOrder) {
   LocalMapReduce<uint32_t, uint32_t, double>::Config combined;
   combined.lcombine = [](const double& a, const double& b) { return a + b; };
   EXPECT_EQ(visited_order(combined), expected);
-  LocalMapReduce<uint32_t, uint32_t, double>::Config threaded;
-  threaded.lmap_threads = 4;  // chunks {5,3} {9,3} {1,5} {0,9}
-  EXPECT_EQ(visited_order(threaded), expected);
 }
 
 TEST(LocalMapReduce, ForeignKeyLastWriterIsStable) {
@@ -226,9 +190,7 @@ TEST(LocalMapReduce, ForeignKeyLastWriterIsStable) {
   // value names the key lreduce visited last.
   static constexpr uint32_t kForeign = 1000;
   const std::vector<uint32_t> xs = Iota(200);
-  auto last_writer = [&](uint32_t threads) {
-    LocalMapReduce<uint32_t, uint32_t, double>::Config config;
-    config.lmap_threads = threads;
+  auto last_writer = [&] {
     LocalMapReduce<uint32_t, uint32_t, double> local(
         [](const uint32_t& x, const LocalState<uint32_t, double>&,
            LocalIntermediate<uint32_t, double>& out) {
@@ -240,63 +202,16 @@ TEST(LocalMapReduce, ForeignKeyLastWriterIsStable) {
           ctx.EmitLocal(kForeign, static_cast<double>(k));
         },
         [](const LocalState<uint32_t, double>&, const LocalState<uint32_t, double>&,
-           uint32_t) { return true; },
-        config);
+           uint32_t) { return true; });
     LocalState<uint32_t, double> state;
     local.Run(xs, state);
     return state.at(kForeign);
   };
   // x = 0..60 first-emit all 61 keys, so the last key visited is
   // ScrambledKey(60) = 24 (a sorted visit would have ended at 60).
-  const double serial = last_writer(1);
+  const double serial = last_writer();
   EXPECT_EQ(serial, static_cast<double>(ScrambledKey(60)));
-  EXPECT_EQ(last_writer(1), serial);
-  EXPECT_EQ(last_writer(4), serial);
-  EXPECT_EQ(last_writer(4), serial);
-}
-
-TEST(LocalMapReduce, CombinerWithThreadPoolIsStableAndNearSerial) {
-  // The chunk merge reassociates the combiner fold, so threaded results are
-  // pinned run to run bit for bit, and to serial only within rounding.
-  const std::vector<uint32_t> xs = Iota(500);
-  auto run = [&](uint32_t threads) {
-    LocalMapReduce<uint32_t, uint32_t, double>::Config config;
-    config.lmap_threads = threads;
-    config.max_local_iterations = 4;
-    config.lcombine = [](const double& a, const double& b) { return a + b; };
-    LocalMapReduce<uint32_t, uint32_t, double> local(
-        [](const uint32_t& x, const LocalState<uint32_t, double>& s,
-           LocalIntermediate<uint32_t, double>& out) {
-          const auto it = s.find(ScrambledKey(x));
-          const double prev = it == s.end() ? 1.0 : it->second;
-          out.EmitLocalIntermediate(ScrambledKey(x), 0.1 * prev + 1.0 / (x + 3.0));
-        },
-        [](const uint32_t& k, const std::vector<double>& vs,
-           const LocalState<uint32_t, double>&, LocalReduceContext<uint32_t, double>& ctx) {
-          ctx.EmitLocal(k, vs.front());
-        },
-        [](const LocalState<uint32_t, double>&, const LocalState<uint32_t, double>&,
-           uint32_t) { return false; },
-        config);
-    LocalState<uint32_t, double> state;
-    local.Run(xs, state);
-    return state;
-  };
-  const LocalState<uint32_t, double> serial = run(1);
-  const LocalState<uint32_t, double> threaded = run(4);
-  const LocalState<uint32_t, double> threaded_again = run(4);
-  ASSERT_EQ(serial.size(), 61u);
-  ASSERT_EQ(threaded.size(), serial.size());
-  ASSERT_EQ(threaded_again.size(), serial.size());
-  auto s = serial.begin();
-  auto t = threaded.begin();
-  auto u = threaded_again.begin();
-  for (; s != serial.end(); ++s, ++t, ++u) {
-    ASSERT_EQ(t->first, s->first);
-    ASSERT_EQ(u->first, s->first);
-    EXPECT_EQ(u->second, t->second) << "key " << s->first;
-    EXPECT_NEAR(t->second, s->second, 1e-12) << "key " << s->first;
-  }
+  EXPECT_EQ(last_writer(), serial);
 }
 
 // --- FlatTable ----------------------------------------------------------------

@@ -96,6 +96,18 @@ TEST(LintFixtures, RawOutput) {
   EXPECT_EQ(Shape(vs), expected) << Dump(vs);
 }
 
+TEST(LintFixtures, HostThreads) {
+  const auto vs = LintFile(Fixture("host_threads.cpp"));
+  const std::vector<std::pair<int, std::string>> expected{
+      {3, "host-threads"},   // #include <future>
+      {4, "host-threads"},   // #include <thread>
+      {10, "host-threads"},  // std::thread
+      {11, "host-threads"},  // std::jthread
+      {12, "host-threads"},  // std::async
+  };
+  EXPECT_EQ(Shape(vs), expected) << Dump(vs);
+}
+
 TEST(LintFixtures, MissingFileIsAnIoError) {
   const auto vs = LintFile(Fixture("does_not_exist.cpp"));
   ASSERT_EQ(vs.size(), 1u);

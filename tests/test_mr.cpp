@@ -189,28 +189,6 @@ TEST(MrJob, ReducerKeysAreSortedWithinReducer) {
   EXPECT_EQ(seen.size(), 100u);
 }
 
-TEST(MrJob, CountersAggregateAcrossTasks) {
-  cluster::SimCluster cluster(QuietSpec());
-  JobConfig config;
-  config.num_reducers = 2;
-  config.write_output_to_dfs = false;
-  Job<uint32_t, uint32_t, uint32_t, uint32_t> job(cluster, config);
-  job.set_mapper([](uint32_t, MapContext<uint32_t, uint32_t>& ctx) {
-    ctx.counters().Increment("maps", 1);
-    ctx.counters().Increment("records", 5);
-    for (uint32_t i = 0; i < 5; ++i) ctx.Emit(i, i);
-  });
-  job.set_reducer([](const uint32_t& k, const std::vector<uint32_t>&,
-                     ReduceContext<uint32_t, uint32_t>& ctx) {
-    ctx.counters().Increment("reduces", 1);
-    ctx.Emit(k, k);
-  });
-  auto out = job.RunBlocking(std::vector<SplitDesc>(6));
-  EXPECT_EQ(out.raw.counters.Get("maps"), 6);
-  EXPECT_EQ(out.raw.counters.Get("records"), 30);
-  EXPECT_EQ(out.raw.counters.Get("reduces"), 5);  // 5 distinct keys
-}
-
 TEST(MrJob, ShuffleBytesMatchMapOutputWithoutCombiner) {
   cluster::SimCluster cluster(QuietSpec());
   JobConfig config;

@@ -430,6 +430,14 @@ class Linter {
                "#include <random>: all stochastic draws must come from the "
                "seeded streams in common/rng");
       }
+      for (const std::string_view header : {"<thread>", "<future>"}) {
+        if (line.find(header) != std::string_view::npos) {
+          Report(lines_[l] + hash, "host-threads",
+                 "#include " + std::string(header) +
+                     ": the simulator runs on one host thread; model "
+                     "parallelism in virtual time instead");
+        }
+      }
     }
   }
 
@@ -485,6 +493,13 @@ class Linter {
                "std::" + std::string(id.text) +
                    ": direct output from src/; route diagnostics through "
                    "AMR_LOG (common/logging)");
+        continue;
+      }
+      if (InSet(id.text, {"thread", "jthread", "async"}) && StdQualifiedHere(id)) {
+        Report(id.begin, "host-threads",
+               "std::" + std::string(id.text) +
+                   ": host threads make results depend on scheduling; model "
+                   "parallelism in virtual time (e.g. a WorkReport time_scale)");
       }
     }
   }

@@ -2,7 +2,7 @@
 //
 // The simulator's whole value proposition is bit-reproducibility: every
 // result in BENCH_*.json and every differential test assumes that a (seed,
-// config) pair fixes the entire virtual timeline. Four classes of C++ are
+// config) pair fixes the entire virtual timeline. Five classes of C++ are
 // the classic ways that property silently dies, and this lint rejects them
 // mechanically instead of hoping review catches them:
 //
@@ -28,6 +28,12 @@
 //                         through AMR_LOG so tests can capture them and a
 //                         log level gates them. (snprintf-to-buffer is
 //                         formatting, not output, and is not flagged.)
+//   host-threads          #include <thread> / <future>, std::thread,
+//                         std::jthread, std::async. The simulator runs on
+//                         one host thread; parallelism the paper assumes
+//                         (e.g. an intra-host lmap pool) is modeled in
+//                         virtual time, never executed, so no host thread
+//                         count can reach a result's bits.
 //
 // Any rule can also be suppressed on a specific line with
 // `// lint:allow(<rule>)`. The checker is a deliberately dependency-free,
@@ -45,7 +51,8 @@ namespace asyncmr::lint {
 struct Violation {
   std::string file;
   int line = 0;         // 1-based
-  std::string rule;     // "wall-clock", "randomness", "unordered-iteration", "raw-output"
+  std::string rule;     // "wall-clock", "randomness", "unordered-iteration",
+                        // "raw-output", "host-threads"
   std::string message;  // what was matched, and how to fix or annotate it
 };
 
