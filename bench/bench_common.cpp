@@ -86,33 +86,21 @@ graph::PrefAttachConfig GraphConfig(PaperGraph which, const BenchOptions& opts) 
 
 namespace {
 
-GraphSweepRow MakeRow(uint32_t k, double cut, const apps::PageRankResult& gen,
-                      const apps::PageRankResult& eag) {
+/// One sweep row from a General and an Eager run (PageRank or SSSP).
+template <typename Result>
+GraphSweepRow MakeRow(uint32_t k, double cut, const Result& gen, const Result& eag) {
   GraphSweepRow row;
   row.partitions = k;
   row.cut_fraction = cut;
   row.general_iterations = gen.trace.global_iterations();
   row.general_seconds = gen.trace.total_seconds();
   row.general_ops = gen.trace.total_ops();
+  row.general_converged = gen.converged;
   row.eager_iterations = eag.trace.global_iterations();
   row.eager_seconds = eag.trace.total_seconds();
   row.eager_ops = eag.trace.total_ops();
   row.eager_local_iterations = eag.trace.total_local_iterations();
-  return row;
-}
-
-GraphSweepRow MakeRow(uint32_t k, double cut, const apps::SsspResult& gen,
-                      const apps::SsspResult& eag) {
-  GraphSweepRow row;
-  row.partitions = k;
-  row.cut_fraction = cut;
-  row.general_iterations = gen.trace.global_iterations();
-  row.general_seconds = gen.trace.total_seconds();
-  row.general_ops = gen.trace.total_ops();
-  row.eager_iterations = eag.trace.global_iterations();
-  row.eager_seconds = eag.trace.total_seconds();
-  row.eager_ops = eag.trace.total_ops();
-  row.eager_local_iterations = eag.trace.total_local_iterations();
+  row.eager_converged = eag.converged;
   return row;
 }
 
@@ -195,9 +183,11 @@ std::vector<KmeansSweepRow> RunKmeansSweep(const BenchOptions& opts) {
     row.threshold = threshold;
     row.general_iterations = gen.trace.global_iterations();
     row.general_seconds = gen.trace.total_seconds();
+    row.general_converged = gen.converged;
     row.eager_iterations = eag.trace.global_iterations();
     row.eager_seconds = eag.trace.total_seconds();
     row.eager_local_iterations = eag.trace.total_local_iterations();
+    row.eager_converged = eag.converged;
     row.general_sse = gen.sse;
     row.eager_sse = eag.sse;
     rows.push_back(row);

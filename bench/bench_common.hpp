@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -103,10 +104,12 @@ struct GraphSweepRow {
   uint32_t general_iterations = 0;
   double general_seconds = 0.0;
   uint64_t general_ops = 0;
+  bool general_converged = false;
   uint32_t eager_iterations = 0;
   double eager_seconds = 0.0;
   uint64_t eager_ops = 0;
   uint64_t eager_local_iterations = 0;
+  bool eager_converged = false;
   double speedup() const {
     return eager_seconds > 0 ? general_seconds / eager_seconds : 0.0;
   }
@@ -123,9 +126,11 @@ struct KmeansSweepRow {
   double threshold = 0.0;
   uint32_t general_iterations = 0;
   double general_seconds = 0.0;
+  bool general_converged = false;
   uint32_t eager_iterations = 0;
   double eager_seconds = 0.0;
   uint64_t eager_local_iterations = 0;
+  bool eager_converged = false;
   double general_sse = 0.0;
   double eager_sse = 0.0;
   double speedup() const {
@@ -146,6 +151,19 @@ void PrintGraphSweep(const std::string& figure_title, const std::string& metric,
 void PrintKmeansSweep(const std::string& figure_title, const std::string& metric,
                       const std::vector<KmeansSweepRow>& rows,
                       const BenchOptions& opts);
+
+/// A figure bench's exit code: 0 when every General and Eager run in the sweep
+/// converged, else 1, with the count of runs that did not on stderr (stdout
+/// stays the figure alone).
+template <typename Row>
+int SweepExitCode(const std::vector<Row>& rows) {
+  size_t failed = 0;
+  for (const Row& row : rows) failed += !row.general_converged + !row.eager_converged;
+  if (failed == 0) return 0;
+  std::fprintf(stderr, "FAILED: %zu of %zu sweep runs did not converge\n", failed,
+               2 * rows.size());
+  return 1;
+}
 
 /// Prints the standard bench banner (scale, seed, testbed).
 void PrintBanner(const std::string& title, const BenchOptions& opts);

@@ -11,5 +11,5 @@ int main(int argc, char** argv) {
       "Figure 2 — PageRank: number of iterations to converge vs #partitions (Graph A)", opts);
   const auto rows = bench::RunPageRankSweep(bench::PaperGraph::kA, opts);
   bench::PrintGraphSweep("Figure 2 series (iterations):", "iterations", rows, opts);
-  return 0;
+  return bench::SweepExitCode(rows);
 }

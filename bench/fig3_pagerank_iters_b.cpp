@@ -11,5 +11,5 @@ int main(int argc, char** argv) {
       "Figure 3 — PageRank: number of iterations to converge vs #partitions (Graph B)", opts);
   const auto rows = bench::RunPageRankSweep(bench::PaperGraph::kB, opts);
   bench::PrintGraphSweep("Figure 3 series (iterations):", "iterations", rows, opts);
-  return 0;
+  return bench::SweepExitCode(rows);
 }

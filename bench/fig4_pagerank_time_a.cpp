@@ -11,5 +11,5 @@ int main(int argc, char** argv) {
       "Figure 4 — PageRank: time to converge vs #partitions (Graph A)", opts);
   const auto rows = bench::RunPageRankSweep(bench::PaperGraph::kA, opts);
   bench::PrintGraphSweep("Figure 4 series (time):", "time", rows, opts);
-  return 0;
+  return bench::SweepExitCode(rows);
 }

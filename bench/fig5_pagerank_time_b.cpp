@@ -11,5 +11,5 @@ int main(int argc, char** argv) {
       "Figure 5 — PageRank: time to converge vs #partitions (Graph B)", opts);
   const auto rows = bench::RunPageRankSweep(bench::PaperGraph::kB, opts);
   bench::PrintGraphSweep("Figure 5 series (time):", "time", rows, opts);
-  return 0;
+  return bench::SweepExitCode(rows);
 }

@@ -10,5 +10,5 @@ int main(int argc, char** argv) {
       "Figure 6 — SSSP: iterations to converge vs #partitions (Graph A)", opts);
   const auto rows = bench::RunSsspSweep(opts);
   bench::PrintGraphSweep("Figure 6 series (iterations):", "iterations", rows, opts);
-  return 0;
+  return bench::SweepExitCode(rows);
 }

@@ -10,5 +10,5 @@ int main(int argc, char** argv) {
                      opts);
   const auto rows = bench::RunSsspSweep(opts);
   bench::PrintGraphSweep("Figure 7 series (time):", "time", rows, opts);
-  return 0;
+  return bench::SweepExitCode(rows);
 }

@@ -10,5 +10,5 @@ int main(int argc, char** argv) {
                      opts);
   const auto rows = bench::RunKmeansSweep(opts);
   bench::PrintKmeansSweep("Figure 8 series (iterations):", "iterations", rows, opts);
-  return 0;
+  return bench::SweepExitCode(rows);
 }

@@ -9,5 +9,5 @@ int main(int argc, char** argv) {
   bench::PrintBanner("Figure 9 — K-Means: time-to-converge vs threshold", opts);
   const auto rows = bench::RunKmeansSweep(opts);
   bench::PrintKmeansSweep("Figure 9 series (time):", "time", rows, opts);
-  return 0;
+  return bench::SweepExitCode(rows);
 }

@@ -1,6 +1,6 @@
 // Helpers shared by the benchmark applications (PageRank, SSSP, K-Means,
-// and the extension apps): the wave drivers' round bookkeeping, the async
-// graph apps' boundary plan and delta filters, and dense contribution
+// and the extension apps): the wave drivers' round bookkeeping, the graph
+// apps' boundary plan, the async apps' delta filters, and dense contribution
 // accumulators used to pre-combine map emissions efficiently.
 #pragma once
 
@@ -79,7 +79,7 @@ core::RunTrace AsyncRunTrace(const std::string& name,
                              const async::AsyncResult& result);
 
 /// The boundary structure of a locality partition, built once per (graph,
-/// partitioning) for the async graph apps (PageRank, Jacobi, SSSP,
+/// partitioning) for the Eager and async graph apps (PageRank, Jacobi, SSSP,
 /// components). Iterations only read it. Every list is in a fixed order, so
 /// sums and min-folds over it run in the same order on every run:
 ///  * members ascending, and local_of[v] = v's index in its own partition;
@@ -142,6 +142,28 @@ struct BoundaryPlan {
 
   static BoundaryPlan Build(const graph::Digraph& g,
                             const graph::Partitioning& partitioning);
+
+  /// Visits every cut edge as fn(p, i, q, l, w): sender partition p, source
+  /// local index i, receiver partition q, target local index l and weight w
+  /// (1.0 when unweighted). Senders go in ascending order, so each target
+  /// sees its edges in sender-partition, then source, then CSR order, the
+  /// order of a source-major scan of the whole graph. A fold applied edge by
+  /// edge (the Eager drivers' frozen external values) therefore rounds as
+  /// that scan does; summing each run first (RunSum) would not.
+  template <typename Fn>
+  void ForEachCutEdge(Fn&& fn) const {
+    for (uint32_t p = 0; p < parts.size(); ++p) {
+      for (const OutGroup& group : parts[p].out) {
+        for (size_t j = 0; j < group.targets.size(); ++j) {
+          const uint32_t l = local_of[group.targets[j]];
+          for (uint32_t e = group.run_begin[j]; e < group.run_begin[j + 1]; ++e) {
+            fn(p, group.sources[e], group.peer, l,
+               group.weights.empty() ? 1.0 : group.weights[e]);
+          }
+        }
+      }
+    }
+  }
 
   /// local_of[v], checked: v must be a member of partition p (a boundary
   /// update addressed to a vertex the receiver does not own is a bug).

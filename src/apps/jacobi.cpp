@@ -131,12 +131,12 @@ JacobiResult GeneralJacobi(cluster::SimCluster& cluster, const graph::Digraph& g
 
 namespace {
 
+/// One partition element: member i of a plan part, with its frozen external
+/// neighbour sum.
 struct JacVertex {
-  graph::VertexId v = 0;
-  double inv_diag = 0.0;  // 1 / (deg + 1)
-  double ext = 0.0;       // frozen external neighbor sum, refreshed per round
-  const graph::VertexId* internal_targets = nullptr;
-  uint32_t internal_count = 0;
+  const BoundaryPlan::Part* part = nullptr;
+  uint32_t i = 0;    // local index in part
+  double ext = 0.0;  // refreshed per round
 };
 
 }  // namespace
@@ -148,40 +148,21 @@ JacobiResult EagerJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
   const uint32_t n = g_sym.num_vertices();
   AMR_CHECK_EQ(b.size(), n);
   const uint32_t num_parts = partitioning.num_parts;
-  const auto members = partitioning.Members();
+  const BoundaryPlan plan = BoundaryPlan::Build(g_sym, partitioning);
   const WaveRounds waves = WaveRounds::ForGraph(
       cluster, config.job_prefix, WaveRounds::Kind::kEager, g_sym, partitioning);
 
-  std::vector<std::vector<graph::VertexId>> internal_flat(num_parts);
   std::vector<std::vector<JacVertex>> records(num_parts);
   for (uint32_t p = 0; p < num_parts; ++p) {
-    uint64_t internal_edges = 0;
-    for (graph::VertexId u : members[p]) {
-      for (graph::VertexId t : g_sym.OutNeighbors(u)) {
-        if (partitioning.part_of[t] == p) ++internal_edges;
-      }
-    }
-    internal_flat[p].reserve(internal_edges);
-    records[p].reserve(members[p].size());
-    for (graph::VertexId u : members[p]) {
-      JacVertex rec;
-      rec.v = u;
-      rec.inv_diag = 1.0 / (g_sym.OutDegree(u) + 1.0);
-      const size_t start = internal_flat[p].size();
-      for (graph::VertexId t : g_sym.OutNeighbors(u)) {
-        if (partitioning.part_of[t] == p) internal_flat[p].push_back(t);
-      }
-      rec.internal_targets = internal_flat[p].data() + start;
-      rec.internal_count = static_cast<uint32_t>(internal_flat[p].size() - start);
-      records[p].push_back(rec);
-    }
+    const BoundaryPlan::Part& part = plan.parts[p];
+    records[p].reserve(part.members.size());
+    for (uint32_t i = 0; i < part.members.size(); ++i) records[p].push_back({&part, i});
   }
 
   JacobiResult result;
   result.x.assign(n, 0.0);
   result.trace = core::RunTrace("eager-jacobi");
   DenseAccumulator scratch(n);
-  std::vector<double> ext_buf(n, 0.0);
 
   using Psj = core::PartialSyncJob<JacVertex, uint32_t, double>;
   typename Psj::Config psj_config;
@@ -192,19 +173,20 @@ JacobiResult EagerJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
   psj.set_partition_data(
       [&](uint32_t p) { return std::span<const JacVertex>(records[p]); });
   psj.set_init_state([&](uint32_t p) {
+    const auto& members = plan.parts[p].members;
     core::LocalState<uint32_t, double> state;
-    state.reserve(members[p].size() * 2);
-    for (graph::VertexId u : members[p]) state.emplace(u, result.x[u]);
+    state.reserve(members.size() * 2);
+    for (graph::VertexId u : members) state.emplace(u, result.x[u]);
     return state;
   });
   psj.set_lmap([](const JacVertex& rec, const core::LocalState<uint32_t, double>& state,
                   core::LocalIntermediate<uint32_t, double>& out) {
-    const double xu = state.at(rec.v);
-    out.AddOps(1 + rec.internal_count);
-    for (uint32_t i = 0; i < rec.internal_count; ++i) {
-      out.EmitLocalIntermediate(rec.internal_targets[i], xu);
-    }
-    out.EmitLocalIntermediate(rec.v, rec.ext);  // frozen external sum
+    const graph::VertexId v = rec.part->members[rec.i];
+    const double xu = state.at(v);
+    const auto internal = rec.part->Internal(rec.i);
+    out.AddOps(1 + internal.size());
+    for (uint32_t t : internal) out.EmitLocalIntermediate(rec.part->members[t], xu);
+    out.EmitLocalIntermediate(v, rec.ext);  // frozen external sum
   });
   std::vector<double> inv_diag(n);
   for (graph::VertexId v = 0; v < n; ++v) inv_diag[v] = 1.0 / (g_sym.OutDegree(v) + 1.0);
@@ -229,8 +211,8 @@ JacobiResult EagerJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
   });
   psj.set_gemit([&](uint32_t p, const core::LocalState<uint32_t, double>& state,
                     mr::MapContext<uint32_t, double>& ctx) {
-    ScatterRowSums(g_sym, members[p], [&](graph::VertexId u) { return state.at(u); },
-                   scratch, ctx);
+    ScatterRowSums(g_sym, plan.parts[p].members,
+                   [&](graph::VertexId u) { return state.at(u); }, scratch, ctx);
   });
   psj.set_greduce([&b, &inv_diag](const uint32_t& v, const std::vector<double>& sums,
                                   mr::ReduceContext<uint32_t, double>& ctx) {
@@ -241,18 +223,14 @@ JacobiResult EagerJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
   });
 
   for (uint32_t round = 0; round < config.max_global_iterations; ++round) {
-    std::fill(ext_buf.begin(), ext_buf.end(), 0.0);
-    for (uint32_t p = 0; p < num_parts; ++p) {
-      for (const JacVertex& rec : records[p]) {
-        const double xu = result.x[rec.v];
-        for (graph::VertexId t : g_sym.OutNeighbors(rec.v)) {
-          if (partitioning.part_of[t] != p) ext_buf[t] += xu;
-        }
-      }
+    // Freeze external neighbour sums from the current global iterate, edge
+    // by edge so every sum keeps the order of a full source-major scan.
+    for (auto& part_records : records) {
+      for (JacVertex& rec : part_records) rec.ext = 0.0;
     }
-    for (uint32_t p = 0; p < num_parts; ++p) {
-      for (JacVertex& rec : records[p]) rec.ext = ext_buf[rec.v];
-    }
+    plan.ForEachCutEdge([&](uint32_t p, uint32_t i, uint32_t q, uint32_t l, double) {
+      records[q][l].ext += result.x[plan.parts[p].members[i]];
+    });
 
     psj.mutable_config().job = waves.RoundJob(round);
     auto out = psj.RunGlobalIteration(waves.splits());

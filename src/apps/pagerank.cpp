@@ -115,14 +115,13 @@ PageRankResult GeneralPageRank(cluster::SimCluster& cluster, const graph::Digrap
 
 namespace {
 
-/// One partition element: a vertex with its frozen external contribution and
-/// the partition-internal slice of its adjacency.
+/// One partition element: member i of a plan part, with its frozen external
+/// contribution.
 struct EagerVertex {
-  graph::VertexId v = 0;
+  const BoundaryPlan::Part* part = nullptr;
+  uint32_t i = 0;  // local index in part
   double inv_outdeg = 0.0;
   double ext = 0.0;  // refreshed every global round
-  const graph::VertexId* internal_targets = nullptr;
-  uint32_t internal_count = 0;
 };
 
 }  // namespace
@@ -132,35 +131,17 @@ PageRankResult EagerPageRank(cluster::SimCluster& cluster, const graph::Digraph&
                              const PageRankConfig& config) {
   const uint32_t n = g.num_vertices();
   const uint32_t num_parts = partitioning.num_parts;
-  const auto members = partitioning.Members();
+  const BoundaryPlan plan = BoundaryPlan::Build(g, partitioning);
   const WaveRounds waves = WaveRounds::ForGraph(
       cluster, config.job_prefix, WaveRounds::Kind::kEager, g, partitioning);
 
-  // Build per-partition vertex records with internal adjacency slices.
-  std::vector<std::vector<graph::VertexId>> internal_flat(num_parts);
   std::vector<std::vector<EagerVertex>> records(num_parts);
   for (uint32_t p = 0; p < num_parts; ++p) {
-    // First pass sizes the flat array so pointers below stay stable.
-    uint64_t internal_edges = 0;
-    for (graph::VertexId u : members[p]) {
-      for (graph::VertexId t : g.OutNeighbors(u)) {
-        if (partitioning.part_of[t] == p) ++internal_edges;
-      }
-    }
-    internal_flat[p].reserve(internal_edges);
-    records[p].reserve(members[p].size());
-    for (graph::VertexId u : members[p]) {
-      EagerVertex rec;
-      rec.v = u;
-      const uint32_t deg = g.OutDegree(u);
-      rec.inv_outdeg = deg > 0 ? 1.0 / deg : 0.0;
-      const size_t start = internal_flat[p].size();
-      for (graph::VertexId t : g.OutNeighbors(u)) {
-        if (partitioning.part_of[t] == p) internal_flat[p].push_back(t);
-      }
-      rec.internal_targets = internal_flat[p].data() + start;
-      rec.internal_count = static_cast<uint32_t>(internal_flat[p].size() - start);
-      records[p].push_back(rec);
+    const BoundaryPlan::Part& part = plan.parts[p];
+    records[p].reserve(part.members.size());
+    for (uint32_t i = 0; i < part.members.size(); ++i) {
+      const uint32_t deg = g.OutDegree(part.members[i]);
+      records[p].push_back({&part, i, deg > 0 ? 1.0 / deg : 0.0});
     }
   }
 
@@ -168,7 +149,6 @@ PageRankResult EagerPageRank(cluster::SimCluster& cluster, const graph::Digraph&
   result.ranks.assign(n, 1.0);
   result.trace = core::RunTrace("eager-pagerank");
   DenseAccumulator scratch(n);
-  std::vector<double> ext_buf(n, 0.0);
 
   // --- the paper's four-function API ----------------------------------------
   using Psj = core::PartialSyncJob<EagerVertex, uint32_t, double>;
@@ -181,21 +161,22 @@ PageRankResult EagerPageRank(cluster::SimCluster& cluster, const graph::Digraph&
     return std::span<const EagerVertex>(records[p]);
   });
   psj.set_init_state([&](uint32_t p) {
+    const auto& members = plan.parts[p].members;
     core::LocalState<uint32_t, double> state;
-    state.reserve(members[p].size() * 2);
-    for (graph::VertexId u : members[p]) state.emplace(u, result.ranks[u]);
+    state.reserve(members.size() * 2);
+    for (graph::VertexId u : members) state.emplace(u, result.ranks[u]);
     return state;
   });
   psj.set_lmap([](const EagerVertex& x, const core::LocalState<uint32_t, double>& state,
                   core::LocalIntermediate<uint32_t, double>& out) {
-    const double c = state.at(x.v) * x.inv_outdeg;
-    out.AddOps(2 + x.internal_count);
-    for (uint32_t i = 0; i < x.internal_count; ++i) {
-      out.EmitLocalIntermediate(x.internal_targets[i], c);
-    }
+    const graph::VertexId v = x.part->members[x.i];
+    const double c = state.at(v) * x.inv_outdeg;
+    const auto internal = x.part->Internal(x.i);
+    out.AddOps(2 + internal.size());
+    for (uint32_t t : internal) out.EmitLocalIntermediate(x.part->members[t], c);
     // External contributions are frozen for the round; emitting them keeps
     // every member key live in lreduce.
-    out.EmitLocalIntermediate(x.v, x.ext);
+    out.EmitLocalIntermediate(v, x.ext);
   });
   psj.set_lreduce([](const uint32_t& v, const std::vector<double>& values,
                      const core::LocalState<uint32_t, double>&,
@@ -220,12 +201,13 @@ PageRankResult EagerPageRank(cluster::SimCluster& cluster, const graph::Digraph&
                     mr::MapContext<uint32_t, double>& ctx) {
     uint64_t edge_ops = 0;
     for (const EagerVertex& x : records[p]) {
-      const double c = state.at(x.v) * x.inv_outdeg;
+      const graph::VertexId u = x.part->members[x.i];
+      const double c = state.at(u) * x.inv_outdeg;
       if (x.inv_outdeg > 0.0) {
-        for (graph::VertexId t : g.OutNeighbors(x.v)) scratch.Add(t, c);
-        edge_ops += g.OutDegree(x.v);
+        for (graph::VertexId t : g.OutNeighbors(u)) scratch.Add(t, c);
+        edge_ops += g.OutDegree(u);
       }
-      scratch.Add(x.v, 0.0);  // keepalive
+      scratch.Add(u, 0.0);  // keepalive
     }
     ctx.AddOps(edge_ops + records[p].size());
     for (const auto& [t, val] : scratch.DrainSorted()) ctx.Emit(t, val);
@@ -233,23 +215,18 @@ PageRankResult EagerPageRank(cluster::SimCluster& cluster, const graph::Digraph&
   psj.set_greduce(ReduceRank);
 
   for (uint32_t round = 0; round < config.max_global_iterations; ++round) {
-    // Refresh frozen external contributions from the current global ranks.
+    // Refresh frozen external contributions from the current global ranks,
+    // edge by edge so every sum keeps the order of a full source-major scan.
     // (In Hadoop this data arrives as part of the gmap's input file; its
     // computation cost is already charged by gemit/greduce of the previous
     // round, so no extra virtual ops here.)
-    std::fill(ext_buf.begin(), ext_buf.end(), 0.0);
-    for (uint32_t p = 0; p < num_parts; ++p) {
-      for (const EagerVertex& x : records[p]) {
-        if (x.inv_outdeg == 0.0) continue;
-        const double c = result.ranks[x.v] * x.inv_outdeg;
-        for (graph::VertexId t : g.OutNeighbors(x.v)) {
-          if (partitioning.part_of[t] != p) ext_buf[t] += c;
-        }
-      }
+    for (auto& part_records : records) {
+      for (EagerVertex& x : part_records) x.ext = 0.0;
     }
-    for (uint32_t p = 0; p < num_parts; ++p) {
-      for (EagerVertex& x : records[p]) x.ext = ext_buf[x.v];
-    }
+    plan.ForEachCutEdge([&](uint32_t p, uint32_t i, uint32_t q, uint32_t l, double) {
+      records[q][l].ext +=
+          result.ranks[plan.parts[p].members[i]] * records[p][i].inv_outdeg;
+    });
 
     psj.mutable_config().job = waves.RoundJob(round);
     auto out = psj.RunGlobalIteration(waves.splits());

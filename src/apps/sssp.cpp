@@ -145,11 +145,12 @@ SsspResult GeneralSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
 
 namespace {
 
+/// One partition element: member i of a plan part, with its best external
+/// candidate.
 struct SsspVertex {
-  graph::VertexId v = 0;
-  double ext = kInfDistance;  // best external candidate, frozen per round
-  const std::pair<graph::VertexId, double>* internal_edges = nullptr;
-  uint32_t internal_count = 0;
+  const BoundaryPlan::Part* part = nullptr;
+  uint32_t i = 0;             // local index in part
+  double ext = kInfDistance;  // frozen per round
 };
 
 }  // namespace
@@ -159,44 +160,21 @@ SsspResult EagerSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
                      const SsspConfig& config) {
   const uint32_t n = g.num_vertices();
   const uint32_t num_parts = partitioning.num_parts;
-  const auto members = partitioning.Members();
+  const BoundaryPlan plan = BoundaryPlan::Build(g, partitioning);
   const WaveRounds waves = WaveRounds::ForGraph(
       cluster, config.job_prefix, WaveRounds::Kind::kEager, g, partitioning);
 
-  // Per-partition vertex records with internal weighted adjacency slices.
-  std::vector<std::vector<std::pair<graph::VertexId, double>>> internal_flat(num_parts);
   std::vector<std::vector<SsspVertex>> records(num_parts);
   for (uint32_t p = 0; p < num_parts; ++p) {
-    uint64_t internal_edges = 0;
-    for (graph::VertexId u : members[p]) {
-      for (graph::VertexId t : g.OutNeighbors(u)) {
-        if (partitioning.part_of[t] == p) ++internal_edges;
-      }
-    }
-    internal_flat[p].reserve(internal_edges);
-    records[p].reserve(members[p].size());
-    for (graph::VertexId u : members[p]) {
-      SsspVertex rec;
-      rec.v = u;
-      const auto neighbors = g.OutNeighbors(u);
-      const auto weights = g.OutWeights(u);
-      const size_t start = internal_flat[p].size();
-      for (size_t i = 0; i < neighbors.size(); ++i) {
-        if (partitioning.part_of[neighbors[i]] == p) {
-          internal_flat[p].emplace_back(neighbors[i], EdgeWeight(weights, i));
-        }
-      }
-      rec.internal_edges = internal_flat[p].data() + start;
-      rec.internal_count = static_cast<uint32_t>(internal_flat[p].size() - start);
-      records[p].push_back(rec);
-    }
+    const BoundaryPlan::Part& part = plan.parts[p];
+    records[p].reserve(part.members.size());
+    for (uint32_t i = 0; i < part.members.size(); ++i) records[p].push_back({&part, i});
   }
 
   SsspResult result;
   result.distances = InitialDistances(config, n);
   result.trace = core::RunTrace("eager-sssp");
   DenseAccumulator scratch(n);
-  std::vector<double> ext_buf(n, kInfDistance);
 
   using Psj = core::PartialSyncJob<SsspVertex, uint32_t, double>;
   typename Psj::Config psj_config;
@@ -209,23 +187,28 @@ SsspResult EagerSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
   psj.set_partition_data(
       [&](uint32_t p) { return std::span<const SsspVertex>(records[p]); });
   psj.set_init_state([&](uint32_t p) {
+    const auto& members = plan.parts[p].members;
     core::LocalState<uint32_t, double> state;
-    state.reserve(members[p].size() * 2);
-    for (graph::VertexId u : members[p]) state.emplace(u, result.distances[u]);
+    state.reserve(members.size() * 2);
+    for (graph::VertexId u : members) state.emplace(u, result.distances[u]);
     return state;
   });
   psj.set_lmap([](const SsspVertex& x, const core::LocalState<uint32_t, double>& state,
                   core::LocalIntermediate<uint32_t, double>& out) {
-    const double d = state.at(x.v);
-    out.AddOps(1 + x.internal_count);
+    const BoundaryPlan::Part& part = *x.part;
+    const graph::VertexId v = part.members[x.i];
+    const double d = state.at(v);
+    const uint32_t begin = part.internal_offsets[x.i];
+    const uint32_t end = part.internal_offsets[x.i + 1];
+    out.AddOps(1 + end - begin);
     if (d != kInfDistance) {
-      for (uint32_t i = 0; i < x.internal_count; ++i) {
-        out.EmitLocalIntermediate(x.internal_edges[i].first,
-                                  d + x.internal_edges[i].second);
+      for (uint32_t e = begin; e < end; ++e) {
+        out.EmitLocalIntermediate(part.members[part.internal_targets[e]],
+                                  d + EdgeWeight(part.internal_weights, e));
       }
-      out.EmitLocalIntermediate(x.v, d);
+      out.EmitLocalIntermediate(v, d);
     }
-    if (x.ext != kInfDistance) out.EmitLocalIntermediate(x.v, x.ext);
+    if (x.ext != kInfDistance) out.EmitLocalIntermediate(v, x.ext);
   });
   psj.set_lreduce([](const uint32_t& v, const std::vector<double>& values,
                      const core::LocalState<uint32_t, double>&,
@@ -246,31 +229,22 @@ SsspResult EagerSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
   });
   psj.set_gemit([&](uint32_t p, const core::LocalState<uint32_t, double>& state,
                     mr::MapContext<uint32_t, double>& ctx) {
-    ScatterRelax(g, members[p], [&](graph::VertexId u) { return state.at(u); },
-                 scratch, ctx);
+    ScatterRelax(g, plan.parts[p].members,
+                 [&](graph::VertexId u) { return state.at(u); }, scratch, ctx);
   });
   psj.set_greduce(ReduceMin);
 
   for (uint32_t round = 0; round < config.max_global_iterations; ++round) {
     // Freeze external candidates from current global distances.
-    std::fill(ext_buf.begin(), ext_buf.end(), kInfDistance);
-    for (uint32_t p = 0; p < num_parts; ++p) {
-      for (const SsspVertex& x : records[p]) {
-        const double d = result.distances[x.v];
-        if (d == kInfDistance) continue;
-        const auto neighbors = g.OutNeighbors(x.v);
-        const auto weights = g.OutWeights(x.v);
-        for (size_t i = 0; i < neighbors.size(); ++i) {
-          const graph::VertexId t = neighbors[i];
-          if (partitioning.part_of[t] != p) {
-            ext_buf[t] = std::min(ext_buf[t], d + EdgeWeight(weights, i));
-          }
-        }
-      }
+    for (auto& part_records : records) {
+      for (SsspVertex& x : part_records) x.ext = kInfDistance;
     }
-    for (uint32_t p = 0; p < num_parts; ++p) {
-      for (SsspVertex& x : records[p]) x.ext = ext_buf[x.v];
-    }
+    plan.ForEachCutEdge([&](uint32_t p, uint32_t i, uint32_t q, uint32_t l, double w) {
+      const double d = result.distances[plan.parts[p].members[i]];
+      if (d == kInfDistance) return;
+      double& ext = records[q][l].ext;
+      ext = std::min(ext, d + w);
+    });
 
     psj.mutable_config().job = waves.RoundJob(round);
     auto out = psj.RunGlobalIteration(waves.splits());

@@ -1,6 +1,8 @@
 // Unit tests: the shared app helpers — DenseAccumulator against a std::map
-// reference, and BoundaryPlan / DeltaFilter against the per-app grouping
-// they replaced (std::map by peer, then a sort by target).
+// reference, BoundaryPlan / DeltaFilter against the per-app grouping they
+// replaced (std::map by peer, then a sort by target) and the cut-edge visit
+// against a full source-major scan, and the Eager graph drivers, which read
+// the plan, on its degenerate partitionings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +12,10 @@
 #include <vector>
 
 #include "apps/app_common.hpp"
+#include "apps/components.hpp"
+#include "apps/jacobi.hpp"
+#include "apps/pagerank.hpp"
+#include "apps/sssp.hpp"
 #include "common/rng.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
@@ -130,6 +136,36 @@ PlanCase RandomPlanCase(uint64_t seed, bool weighted) {
   return c;
 }
 
+// (sender partition, source vertex, weight): one cut edge as a target sees it.
+using CutRef = std::tuple<uint32_t, graph::VertexId, double>;
+
+// ForEachCutEdge against a source-major scan over p, its members and their
+// CSR edges, filtered by part_of[t] != p: per target, the same edges in the
+// same order, so an edge-by-edge fold rounds as the scan does.
+void CheckCutEdgeOrder(const PlanCase& c, const BoundaryPlan& plan) {
+  const graph::Digraph& g = c.g;
+  const graph::Partitioning& partitioning = c.partitioning;
+  std::map<graph::VertexId, std::vector<CutRef>> expected;
+  for (uint32_t p = 0; p < partitioning.num_parts; ++p) {
+    for (graph::VertexId u : plan.parts[p].members) {
+      for (uint64_t e = g.offsets()[u]; e < g.offsets()[u + 1]; ++e) {
+        const graph::VertexId t = g.targets()[e];
+        if (partitioning.part_of[t] == p) continue;
+        expected[t].emplace_back(p, u, g.weighted() ? g.weights()[e] : 1.0);
+      }
+    }
+  }
+  std::map<graph::VertexId, std::vector<CutRef>> visited;
+  plan.ForEachCutEdge([&](uint32_t p, uint32_t i, uint32_t q, uint32_t l, double w) {
+    ASSERT_LT(l, plan.parts[q].members.size());
+    const graph::VertexId t = plan.parts[q].members[l];
+    EXPECT_EQ(partitioning.part_of[t], q);
+    EXPECT_NE(p, q);
+    visited[t].emplace_back(p, plan.parts[p].members[i], w);
+  });
+  EXPECT_EQ(visited, expected);
+}
+
 // (target, source local index, CSR position, weight): sorting by the whole
 // tuple is the old per-app `std::sort` of a source-major list, with the CSR
 // position breaking ties between repeated edges of one source.
@@ -225,6 +261,8 @@ void CheckPlanAgainstReference(const PlanCase& c) {
   }
   EXPECT_TRUE(plan.parts[4].members.empty());
   EXPECT_FALSE(plan.parts[0].internal_targets.empty());
+
+  CheckCutEdgeOrder(c, plan);
 }
 
 TEST(BoundaryPlan, MatchesGroupedReferenceUnweighted) {
@@ -278,6 +316,70 @@ TEST(DeltaFilter, ReannouncementFillsTheSentinel) {
   for (size_t b = 0; b < out.size(); ++b) {
     EXPECT_EQ(filter.sent(p, b),
               std::vector<uint32_t>(out[b].targets.size(), kNever));
+  }
+}
+
+// --- Eager graph drivers on the plan's degenerate partitionings -----------------
+//
+// RandomPlanCase partitionings hold a closed part, an empty part, self-loops
+// and repeated edges; each Eager driver must still reach its serial oracle
+// under the bound its own suite asserts.
+
+cluster::ClusterSpec QuietSpec() {
+  auto spec = cluster::ClusterSpec::Ec2Large8();
+  spec.straggler_prob = 0.0;
+  spec.speed_jitter = 0.0;
+  return spec;
+}
+
+TEST(EagerOnPlanCases, PageRankMatchesSerialOracle) {
+  for (uint64_t seed = 21; seed <= 24; ++seed) {
+    const PlanCase c = RandomPlanCase(seed, /*weighted=*/false);
+    PageRankConfig config;
+    cluster::SimCluster sim(QuietSpec());
+    const auto result = EagerPageRank(sim, c.g, c.partitioning, config);
+    EXPECT_TRUE(result.converged) << "seed " << seed;
+    const auto serial = SerialPageRank(c.g, config);
+    ASSERT_EQ(result.ranks.size(), serial.size());
+    for (size_t v = 0; v < serial.size(); ++v) {
+      EXPECT_NEAR(result.ranks[v], serial[v], 1e-3) << "seed " << seed << " vertex " << v;
+    }
+  }
+}
+
+TEST(EagerOnPlanCases, SsspMatchesDijkstra) {
+  for (uint64_t seed = 31; seed <= 34; ++seed) {
+    const PlanCase c = RandomPlanCase(seed, /*weighted=*/true);
+    SsspConfig config;
+    config.source = 10;  // outside the closed part, which stays unreachable
+    ASSERT_NE(c.partitioning.part_of[config.source], 0u);
+    cluster::SimCluster sim(QuietSpec());
+    const auto result = EagerSssp(sim, c.g, c.partitioning, config);
+    EXPECT_TRUE(result.converged) << "seed " << seed;
+    const auto oracle = SerialDijkstra(c.g, config.source);
+    ASSERT_EQ(result.distances.size(), oracle.size());
+    for (size_t v = 0; v < oracle.size(); ++v) {
+      if (oracle[v] == kInfDistance) {
+        EXPECT_EQ(result.distances[v], kInfDistance) << "seed " << seed << " vertex " << v;
+      } else {
+        EXPECT_NEAR(result.distances[v], oracle[v], 1e-9)
+            << "seed " << seed << " vertex " << v;
+      }
+    }
+    for (graph::VertexId v = 0; v < 10; ++v) EXPECT_EQ(oracle[v], kInfDistance);
+  }
+}
+
+TEST(EagerOnPlanCases, JacobiMatchesResidualBound) {
+  for (uint64_t seed = 41; seed <= 44; ++seed) {
+    const PlanCase c = RandomPlanCase(seed, /*weighted=*/false);
+    const graph::Digraph g_sym = Symmetrized(c.g);
+    const std::vector<double> b(g_sym.num_vertices(), 1.0);
+    JacobiConfig config;
+    cluster::SimCluster sim(QuietSpec());
+    const auto result = EagerJacobi(sim, g_sym, b, c.partitioning, config);
+    EXPECT_TRUE(result.converged) << "seed " << seed;
+    EXPECT_LT(JacobiResidual(g_sym, b, result.x), 1e-6) << "seed " << seed;
   }
 }
 
