@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "core/partition_io.hpp"
 #include "graph/graph_io.hpp"
@@ -18,6 +19,76 @@ constexpr uint32_t kGraphReducers = 16;
 /// Approximate on-disk bytes per (vertex, value) record of a graph app's
 /// iteration output.
 constexpr uint64_t kVertexRecordBytes = 12;
+
+/// Fills part's pull layout (see BoundaryPlan) from its internal CSR.
+void BuildPullLayout(BoundaryPlan::Part& part) {
+  constexpr uint32_t kLanes = BoundaryPlan::kPullLanes;
+  const auto m = static_cast<uint32_t>(part.members.size());
+  // A transient in-CSR: scanning sources in ascending order lists each
+  // target's sources ascending, repeated edges kept.
+  std::vector<uint32_t> in_offsets(m + 1, 0);
+  for (uint32_t t : part.internal_targets) ++in_offsets[t + 1];
+  for (uint32_t t = 0; t < m; ++t) in_offsets[t + 1] += in_offsets[t];
+  std::vector<uint32_t> in_sources(part.internal_targets.size());
+  std::vector<uint32_t> cursor(in_offsets.begin(), in_offsets.end() - 1);
+  for (uint32_t i = 0; i < m; ++i) {
+    for (uint32_t t : part.Internal(i)) in_sources[cursor[t]++] = i;
+  }
+  const auto in_degree = [&](uint32_t t) { return in_offsets[t + 1] - in_offsets[t]; };
+
+  part.pull_order.resize(m);
+  std::iota(part.pull_order.begin(), part.pull_order.end(), 0u);
+  std::stable_sort(part.pull_order.begin(), part.pull_order.end(),
+                   [&](uint32_t a, uint32_t b) { return in_degree(a) > in_degree(b); });
+  part.pull_slice_begin.assign(1, 0);
+  for (uint32_t first = 0; first < m; first += kLanes) {
+    // The slice's first target has its largest in-degree.
+    const size_t base = part.pull_sources.size();
+    part.pull_sources.resize(base + size_t{in_degree(part.pull_order[first])} * kLanes, m);
+    for (uint32_t lane = 0; lane < kLanes && first + lane < m; ++lane) {
+      const uint32_t t = part.pull_order[first + lane];
+      for (uint32_t k = 0; k < in_degree(t); ++k) {
+        part.pull_sources[base + size_t{k} * kLanes + lane] = in_sources[in_offsets[t] + k];
+      }
+    }
+    part.pull_slice_begin.push_back(static_cast<uint32_t>(part.pull_sources.size()));
+  }
+  AMR_CHECK_LE(part.pull_sources.size(), std::numeric_limits<uint32_t>::max());
+}
+
+#ifdef AMR_AUDIT
+/// The pull layout's contract: pull_order is a permutation of the members,
+/// every lane lists its target's sources in non-decreasing order followed
+/// only by sentinels, and the non-sentinel entries are exactly the internal
+/// edges.
+void AuditPullLayout(const BoundaryPlan::Part& part) {
+  constexpr uint32_t kLanes = BoundaryPlan::kPullLanes;
+  const auto m = static_cast<uint32_t>(part.members.size());
+  std::vector<uint32_t> sorted = part.pull_order;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<uint32_t> members(m);
+  std::iota(members.begin(), members.end(), 0u);
+  AUDIT_CHECK(sorted == members) << "pull_order is not a permutation of [0, " << m << ")";
+  AUDIT_CHECK(part.pull_slice_begin.size() == (m + kLanes - 1) / kLanes + 1)
+      << "pull slices do not cover the members";
+  uint64_t edges = 0;
+  for (size_t s = 0; s + 1 < part.pull_slice_begin.size(); ++s) {
+    for (uint32_t lane = 0; lane < kLanes; ++lane) {
+      uint32_t prev = 0;
+      for (uint32_t k = part.pull_slice_begin[s] + lane; k < part.pull_slice_begin[s + 1];
+           k += kLanes) {
+        const uint32_t source = part.pull_sources[k];
+        AUDIT_CHECK(source >= prev && source <= m)
+            << "pull lane " << lane << " of slice " << s << " is out of order at slot " << k;
+        if (source < m) ++edges;
+        prev = source;
+      }
+    }
+  }
+  AUDIT_CHECK(edges == part.internal_edges())
+      << "pull layout holds " << edges << " of " << part.internal_edges() << " edges";
+}
+#endif  // AMR_AUDIT
 
 }  // namespace
 
@@ -145,6 +216,8 @@ BoundaryPlan BoundaryPlan::Build(const graph::Digraph& g,
     for (OutGroup& group : part.out) {
       group.run_begin.push_back(static_cast<uint32_t>(group.sources.size()));
     }
+    BuildPullLayout(part);
+    AMR_IF_AUDIT(AuditPullLayout(part);)
   }
   return plan;
 }

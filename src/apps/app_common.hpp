@@ -85,6 +85,13 @@ core::RunTrace AsyncRunTrace(const std::string& name,
 ///  * members ascending, and local_of[v] = v's index in its own partition;
 ///  * internal adjacency as CSR over local indices, in the graph's CSR
 ///    neighbour order;
+///  * the same internal edges as a pull layout for the block solves
+///    (ForEachInternalSum): targets in pull_order, a stable sort by
+///    descending internal in-degree, cut into slices of kPullLanes. Each
+///    slice stores its targets' sources column-major (the k-th source of
+///    every lane, then the (k+1)-th), each lane ascending by local index with
+///    multi-edges kept and padded to the slice's depth with the sentinel
+///    members.size(). Sorting by degree keeps the padding small;
 ///  * out-groups in ascending peer order. A group holds its sorted distinct
 ///    cut-edge targets and, per target ordinal j, the run of edges
 ///    [run_begin[j], run_begin[j + 1]) into sources (and weights, when the
@@ -93,6 +100,10 @@ core::RunTrace AsyncRunTrace(const std::string& name,
 ///    CSR order;
 ///  * in_peers, the partitions with an out-group toward this one, ascending.
 struct BoundaryPlan {
+  /// Targets per pull slice: enough independent add chains to hide the
+  /// floating-point add latency.
+  static constexpr uint32_t kPullLanes = 4;
+
   struct OutGroup {
     uint32_t peer = 0;
     std::vector<graph::VertexId> targets;  // ascending, distinct
@@ -122,12 +133,45 @@ struct BoundaryPlan {
     std::vector<double> internal_weights;     // empty if unweighted
     std::vector<OutGroup> out;                // ascending peer
     std::vector<uint32_t> in_peers;           // ascending
+    std::vector<uint32_t> pull_order;         // targets, descending in-degree
+    std::vector<uint32_t> pull_slice_begin;   // slices + 1 offsets
+    std::vector<uint32_t> pull_sources;       // column-major, padded
 
     std::span<const uint32_t> Internal(uint32_t i) const {
       return {internal_targets.data() + internal_offsets[i],
               internal_targets.data() + internal_offsets[i + 1]};
     }
     uint64_t internal_edges() const { return internal_targets.size(); }
+
+    /// Calls fn(t, sum) once per member t, sum being value[s] summed over
+    /// t's internal in-edges (s, t) in ascending s, starting from +0.0: the
+    /// rounding of a scatter `acc[t] += value[s]` over Internal(s) in
+    /// ascending s. value holds members.size() + 1 entries, the last 0.0 for
+    /// the padding; a sum that starts at +0.0 is never -0.0, so adding it is
+    /// exact. Four lanes run interleaved, so the adds of one target do not
+    /// wait on another's; targets arrive in pull_order.
+    template <typename Fn>
+    void ForEachInternalSum(std::span<const double> value, Fn&& fn) const {
+      static_assert(kPullLanes == 4);
+      const size_t m = pull_order.size();
+      AMR_DCHECK(value.size() == m + 1 && value[m] == 0.0);
+      for (size_t s = 0; s + 1 < pull_slice_begin.size(); ++s) {
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        for (uint32_t k = pull_slice_begin[s]; k < pull_slice_begin[s + 1];
+             k += kPullLanes) {
+          s0 += value[pull_sources[k]];
+          s1 += value[pull_sources[k + 1]];
+          s2 += value[pull_sources[k + 2]];
+          s3 += value[pull_sources[k + 3]];
+        }
+        const double sums[kPullLanes] = {s0, s1, s2, s3};
+        const size_t first = s * kPullLanes;
+        for (size_t lane = 0; lane < kPullLanes && first + lane < m; ++lane) {
+          fn(pull_order[first + lane], sums[lane]);
+        }
+      }
+    }
+
     /// Index into out of the group toward peer; out.size() when none.
     size_t GroupTo(uint32_t peer) const {
       for (size_t b = 0; b < out.size(); ++b) {

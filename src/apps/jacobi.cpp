@@ -318,20 +318,16 @@ JacobiResult AsyncJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
     uint64_t ops = 0;
 
     // Block-Jacobi to local convergence with external rows frozen.
-    std::vector<double> acc(m);
+    std::vector<double> x(m + 1, 0.0);  // the last is the pull padding
     std::vector<double> next(m);
     for (uint32_t sweep = 0; sweep < config.max_local_iterations; ++sweep) {
-      std::fill(acc.begin(), acc.end(), 0.0);
-      for (uint32_t i = 0; i < m; ++i) {
-        const double xi = part.x[i];
-        for (uint32_t t : part_plan.Internal(i)) acc[t] += xi;
-      }
+      std::copy(part.x.begin(), part.x.end(), x.begin());
       double sweep_residual = 0.0;
-      for (uint32_t i = 0; i < m; ++i) {
-        const graph::VertexId v = part_plan.members[i];
-        next[i] = (b[v] + acc[i] + part.ext.values[i]) * part.inv_diag[i];
-        sweep_residual = std::max(sweep_residual, std::abs(next[i] - part.x[i]));
-      }
+      part_plan.ForEachInternalSum(x, [&](uint32_t t, double sum) {
+        const graph::VertexId v = part_plan.members[t];
+        next[t] = (b[v] + sum + part.ext.values[t]) * part.inv_diag[t];
+        sweep_residual = std::max(sweep_residual, std::abs(next[t] - x[t]));
+      });
       part.x.swap(next);
       ops += part_plan.internal_edges() + 2 * m;
       if (sweep_residual < kLocalTolerance) break;

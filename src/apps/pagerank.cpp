@@ -330,19 +330,15 @@ PageRankResult AsyncPageRank(cluster::SimCluster& cluster, const graph::Digraph&
 
     // Block solve to local convergence with external contributions frozen
     // (the paper's lmap/lreduce loop, computed directly).
-    std::vector<double> acc(m);
+    std::vector<double> contrib(m + 1, 0.0);  // the last is the pull padding
     std::vector<double> next(m);
     for (uint32_t sweep = 0; sweep < config.max_local_iterations; ++sweep) {
-      std::fill(acc.begin(), acc.end(), 0.0);
-      for (uint32_t i = 0; i < m; ++i) {
-        const double c = part.ranks[i] * part.inv_outdeg[i];
-        for (uint32_t t : part_plan.Internal(i)) acc[t] += c;
-      }
+      for (uint32_t i = 0; i < m; ++i) contrib[i] = part.ranks[i] * part.inv_outdeg[i];
       double sweep_residual = 0.0;
-      for (uint32_t i = 0; i < m; ++i) {
-        next[i] = (1.0 - chi) + chi * (acc[i] + part.ext.values[i]);
-        sweep_residual = std::max(sweep_residual, std::abs(next[i] - part.ranks[i]));
-      }
+      part_plan.ForEachInternalSum(contrib, [&](uint32_t t, double sum) {
+        next[t] = (1.0 - chi) + chi * (sum + part.ext.values[t]);
+        sweep_residual = std::max(sweep_residual, std::abs(next[t] - part.ranks[t]));
+      });
       part.ranks.swap(next);
       ops += part_plan.internal_edges() + 2 * m;
       if (sweep_residual < kLocalTolerance) break;

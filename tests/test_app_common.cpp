@@ -1,8 +1,9 @@
 // Unit tests: the shared app helpers — DenseAccumulator against a std::map
 // reference, BoundaryPlan / DeltaFilter against the per-app grouping they
 // replaced (std::map by peer, then a sort by target) and the cut-edge visit
-// against a full source-major scan, and the Eager graph drivers, which read
-// the plan, on its degenerate partitionings.
+// against a full source-major scan, its pull sums against the scatter fold
+// they replaced, and the Eager and async graph drivers, which read the plan,
+// on its degenerate partitionings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -294,6 +295,45 @@ TEST(BoundaryPlan, RunSumFoldsInRunOrder) {
   }
 }
 
+// The block solves' pull sums against the scatter `acc[t] += value[i]` over
+// Internal(i) in ascending i that they replaced. Values of mixed sign and
+// magnitude (1e16 next to 1) make the result depend on summation order, so
+// only the same adds in the same order compare equal.
+TEST(BoundaryPlan, PullSumsMatchScatterFold) {
+  size_t order_sensitive = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const PlanCase c = RandomPlanCase(seed, /*weighted=*/false);
+    const BoundaryPlan plan = BoundaryPlan::Build(c.g, c.partitioning);
+    Rng rng(100 + seed);
+    for (uint32_t p = 0; p < plan.parts.size(); ++p) {
+      const BoundaryPlan::Part& part = plan.parts[p];
+      const auto m = static_cast<uint32_t>(part.members.size());
+      std::vector<double> value(m + 1, 0.0);
+      for (uint32_t i = 0; i < m; ++i) {
+        const double magnitude = rng.NextBool(0.3) ? 1e16 : 1.0;
+        value[i] = (rng.NextBool(0.5) ? -magnitude : magnitude) * rng.NextDouble(1.0, 2.0);
+      }
+      std::vector<double> scatter(m, 0.0);
+      std::vector<double> reversed(m, 0.0);
+      for (uint32_t i = 0; i < m; ++i) {
+        for (uint32_t t : part.Internal(i)) scatter[t] += value[i];
+        for (uint32_t t : part.Internal(m - 1 - i)) reversed[t] += value[m - 1 - i];
+      }
+      for (uint32_t t = 0; t < m; ++t) order_sensitive += scatter[t] != reversed[t];
+
+      std::vector<int> visits(m, 0);
+      part.ForEachInternalSum(value, [&](uint32_t t, double sum) {
+        ASSERT_LT(t, m) << "part " << p;
+        ++visits[t];
+        EXPECT_EQ(sum, scatter[t]) << "seed " << seed << " part " << p << " target " << t;
+      });
+      EXPECT_EQ(visits, std::vector<int>(m, 1)) << "seed " << seed << " part " << p;
+    }
+    EXPECT_TRUE(plan.parts[4].pull_order.empty());  // the empty part visits nothing
+  }
+  EXPECT_GT(order_sensitive, 0u) << "the values do not make summation order matter";
+}
+
 TEST(DeltaFilter, ReannouncementFillsTheSentinel) {
   const PlanCase c = RandomPlanCase(5, /*weighted=*/false);
   const BoundaryPlan plan = BoundaryPlan::Build(c.g, c.partitioning);
@@ -319,11 +359,11 @@ TEST(DeltaFilter, ReannouncementFillsTheSentinel) {
   }
 }
 
-// --- Eager graph drivers on the plan's degenerate partitionings -----------------
+// --- Graph drivers on the plan's degenerate partitionings -----------------------
 //
 // RandomPlanCase partitionings hold a closed part, an empty part, self-loops
-// and repeated edges; each Eager driver must still reach its serial oracle
-// under the bound its own suite asserts.
+// and repeated edges; each Eager and async driver must still reach its serial
+// oracle under the bound its own suite asserts.
 
 cluster::ClusterSpec QuietSpec() {
   auto spec = cluster::ClusterSpec::Ec2Large8();
@@ -378,6 +418,34 @@ TEST(EagerOnPlanCases, JacobiMatchesResidualBound) {
     JacobiConfig config;
     cluster::SimCluster sim(QuietSpec());
     const auto result = EagerJacobi(sim, g_sym, b, c.partitioning, config);
+    EXPECT_TRUE(result.converged) << "seed " << seed;
+    EXPECT_LT(JacobiResidual(g_sym, b, result.x), 1e-6) << "seed " << seed;
+  }
+}
+
+TEST(AsyncOnPlanCases, PageRankMatchesSerialOracle) {
+  for (uint64_t seed = 21; seed <= 24; ++seed) {
+    const PlanCase c = RandomPlanCase(seed, /*weighted=*/false);
+    PageRankConfig config;
+    cluster::SimCluster sim(QuietSpec());
+    const auto result = AsyncPageRank(sim, c.g, c.partitioning, config);
+    EXPECT_TRUE(result.converged) << "seed " << seed;
+    const auto serial = SerialPageRank(c.g, config);
+    ASSERT_EQ(result.ranks.size(), serial.size());
+    for (size_t v = 0; v < serial.size(); ++v) {
+      EXPECT_NEAR(result.ranks[v], serial[v], 1e-3) << "seed " << seed << " vertex " << v;
+    }
+  }
+}
+
+TEST(AsyncOnPlanCases, JacobiMatchesResidualBound) {
+  for (uint64_t seed = 21; seed <= 24; ++seed) {
+    const PlanCase c = RandomPlanCase(seed, /*weighted=*/false);
+    const graph::Digraph g_sym = Symmetrized(c.g);
+    const std::vector<double> b(g_sym.num_vertices(), 1.0);
+    JacobiConfig config;
+    cluster::SimCluster sim(QuietSpec());
+    const auto result = AsyncJacobi(sim, g_sym, b, c.partitioning, config);
     EXPECT_TRUE(result.converged) << "seed " << seed;
     EXPECT_LT(JacobiResidual(g_sym, b, result.x), 1e-6) << "seed " << seed;
   }
