@@ -65,30 +65,23 @@ void BM_LocalMapReduceIteration(benchmark::State& state) {
   const uint32_t n = static_cast<uint32_t>(state.range(0));
   std::vector<uint32_t> xs(n);
   for (uint32_t i = 0; i < n; ++i) xs[i] = i;
-  core::LocalMapReduce<uint32_t, uint32_t, double>::Config config;
+  using Local = core::LocalMapReduce<uint32_t, double, core::SumCombine>;
+  Local::Config config;
   config.max_local_iterations = 8;
-  config.lcombine = [](const double& a, const double& b) { return a + b; };
-  core::LocalMapReduce<uint32_t, uint32_t, double> local(
-      [n](const uint32_t& x, const core::LocalState<uint32_t, double>& s,
-          core::LocalIntermediate<uint32_t, double>& out) {
-        const double r = s.at(x);
+  Local local(
+      [n](const uint32_t& x, const core::LocalState<double>& s, Local::Intermediate& out) {
+        const double r = s[x];
         out.EmitLocalIntermediate((x + 1) % n, r * 0.5);
         out.EmitLocalIntermediate((x + n - 1) % n, r * 0.5);
       },
-      [](const uint32_t& k, const std::vector<double>& vs,
-         const core::LocalState<uint32_t, double>&,
-         core::LocalReduceContext<uint32_t, double>& ctx) {
-        double sum = 0;
-        for (double v : vs) sum += v;
-        ctx.EmitLocal(k, 0.15 + 0.85 * sum);
+      [](uint32_t k, double sum, const core::LocalState<double>&,
+         Local::ReduceContext& ctx) { ctx.EmitLocal(k, 0.15 + 0.85 * sum); },
+      [](const core::LocalState<double>&, const core::LocalState<double>&, uint32_t) {
+        return false;
       },
-      [](const core::LocalState<uint32_t, double>&,
-         const core::LocalState<uint32_t, double>&, uint32_t) { return false; },
       config);
   for (auto _ : state) {
-    core::LocalState<uint32_t, double> s;
-    s.reserve(2 * n);
-    for (uint32_t i = 0; i < n; ++i) s.emplace(i, 1.0);
+    core::LocalState<double> s(n, 1.0);
     const auto stats = local.Run(xs, s);
     benchmark::DoNotOptimize(stats.ops);
   }

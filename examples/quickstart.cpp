@@ -70,60 +70,55 @@ bool PartialSyncAct(cluster::SimCluster& sim) {
   std::vector<double> value(kCells);
   for (uint32_t i = 0; i < kCells; ++i) value[i] = i < kCells / 2 ? 0.0 : 10.0;
 
-  using Psj = core::PartialSyncJob<uint32_t, uint32_t, double>;
+  using Psj = core::PartialSyncJob<uint32_t, uint32_t, double, core::SumCombine>;
   Psj::Config config;
   config.job.num_reducers = 2;
   config.job.write_output_to_dfs = false;
   config.local.max_local_iterations = 200;
-  config.local.lcombine = [](const double& a, const double& b) { return a + b; };
   Psj psj(sim, config);
 
-  auto part_of = [&](uint32_t cell) { return cell < kCells / 2 ? 0u : 1u; };
+  // The gmap hashtable is dense: a cell's key is its index in its partition.
+  constexpr uint32_t kPartCells = kCells / 2;
+  auto part_of = [&](uint32_t cell) { return cell / kPartCells; };
+  auto slot_of = [&](uint32_t cell) { return cell % kPartCells; };
   psj.set_partition_data(
       [&parts](uint32_t p) { return std::span<const uint32_t>(parts[p]); });
   psj.set_init_state([&](uint32_t p) {
-    core::LocalState<uint32_t, double> state;
-    for (uint32_t cell : parts[p]) state.emplace(cell, value[cell]);
+    Psj::State state;
+    for (uint32_t cell : parts[p]) state.push_back(value[cell]);
     return state;
   });
   // lmap: send half my value to each ring neighbor *within my partition*;
   // boundary contributions stay frozen until the global synchronization.
-  psj.set_lmap([&](const uint32_t& cell, const core::LocalState<uint32_t, double>& s,
-                   core::LocalIntermediate<uint32_t, double>& out) {
+  psj.set_lmap([&](const uint32_t& cell, const Psj::State& s, Psj::Intermediate& out) {
     const uint32_t left = (cell + kCells - 1) % kCells;
     const uint32_t right = (cell + 1) % kCells;
-    const double half = s.at(cell) / 2.0;
+    const double half = s[slot_of(cell)] / 2.0;
     for (uint32_t n : {left, right}) {
       if (part_of(n) == part_of(cell)) {
-        out.EmitLocalIntermediate(n, half);
+        out.EmitLocalIntermediate(slot_of(n), half);
       } else {
-        out.EmitLocalIntermediate(cell, half);  // reflect at the boundary
+        out.EmitLocalIntermediate(slot_of(cell), half);  // reflect at the boundary
       }
     }
   });
-  psj.set_lreduce([](const uint32_t& cell, const std::vector<double>& vs,
-                     const core::LocalState<uint32_t, double>&,
-                     core::LocalReduceContext<uint32_t, double>& ctx) {
-    double sum = 0;
-    for (double v : vs) sum += v;
-    ctx.EmitLocal(cell, sum);
-  });
-  psj.set_local_convergence([](const core::LocalState<uint32_t, double>& prev,
-                               const core::LocalState<uint32_t, double>& next,
-                               uint32_t) {
-    for (const auto& [k, v] : next) {
-      if (std::abs(v - prev.at(k)) > 1e-9) return false;
+  // lreduce receives each key's values already folded by SumCombine.
+  psj.set_lreduce([](uint32_t, uint32_t slot, double sum, const Psj::State&,
+                     Psj::LocalReduceCtx& ctx) { ctx.EmitLocal(slot, sum); });
+  psj.set_local_convergence([](const Psj::State& prev, const Psj::State& next, uint32_t) {
+    for (size_t i = 0; i < next.size(); ++i) {
+      if (std::abs(next[i] - prev[i]) > 1e-9) return false;
     }
     return true;
   });
-  // gmap output (default): the whole hashtable. greduce: keep the value, now
-  // exchanging the true boundary flows.
-  psj.set_gemit([&](uint32_t p, const core::LocalState<uint32_t, double>& s,
+  // gmap output: each cell's halves, to both ring neighbors. greduce: sum
+  // them, now exchanging the true boundary flows.
+  psj.set_gemit([&](uint32_t p, const Psj::State& s,
                     mr::MapContext<uint32_t, double>& ctx) {
     for (uint32_t cell : parts[p]) {
       const uint32_t left = (cell + kCells - 1) % kCells;
       const uint32_t right = (cell + 1) % kCells;
-      const double half = s.at(cell) / 2.0;
+      const double half = s[slot_of(cell)] / 2.0;
       ctx.Emit(left, half);
       ctx.Emit(right, half);
     }

@@ -164,55 +164,45 @@ JacobiResult EagerJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
   result.trace = core::RunTrace("eager-jacobi");
   DenseAccumulator scratch(n);
 
-  using Psj = core::PartialSyncJob<JacVertex, uint32_t, double>;
+  using Psj = core::PartialSyncJob<JacVertex, uint32_t, double, core::SumCombine>;
   typename Psj::Config psj_config;
   psj_config.local.max_local_iterations = config.max_local_iterations;
-  psj_config.local.lcombine = [](const double& a, const double& c) { return a + c; };
   Psj psj(cluster, psj_config);
 
   psj.set_partition_data(
       [&](uint32_t p) { return std::span<const JacVertex>(records[p]); });
+  // Slot i holds members[i]'s iterate.
   psj.set_init_state([&](uint32_t p) {
-    const auto& members = plan.parts[p].members;
-    core::LocalState<uint32_t, double> state;
-    state.reserve(members.size() * 2);
-    for (graph::VertexId u : members) state.emplace(u, result.x[u]);
+    Psj::State state;
+    for (graph::VertexId u : plan.parts[p].members) state.push_back(result.x[u]);
     return state;
   });
-  psj.set_lmap([](const JacVertex& rec, const core::LocalState<uint32_t, double>& state,
-                  core::LocalIntermediate<uint32_t, double>& out) {
-    const graph::VertexId v = rec.part->members[rec.i];
-    const double xu = state.at(v);
+  psj.set_lmap([](const JacVertex& rec, const Psj::State& state, Psj::Intermediate& out) {
+    const double xu = state[rec.i];
     const auto internal = rec.part->Internal(rec.i);
     out.AddOps(1 + internal.size());
-    for (uint32_t t : internal) out.EmitLocalIntermediate(rec.part->members[t], xu);
-    out.EmitLocalIntermediate(v, rec.ext);  // frozen external sum
+    for (uint32_t t : internal) out.EmitLocalIntermediate(t, xu);
+    out.EmitLocalIntermediate(rec.i, rec.ext);  // frozen external sum
   });
   std::vector<double> inv_diag(n);
   for (graph::VertexId v = 0; v < n; ++v) inv_diag[v] = 1.0 / (g_sym.OutDegree(v) + 1.0);
-  psj.set_lreduce([&b, &inv_diag](const uint32_t& v, const std::vector<double>& values,
-                                  const core::LocalState<uint32_t, double>&,
-                                  core::LocalReduceContext<uint32_t, double>& ctx) {
-    double sum = 0.0;
-    for (double s : values) sum += s;
-    ctx.AddOps(values.size() + 2);
-    ctx.EmitLocal(v, (b[v] + sum) * inv_diag[v]);
+  psj.set_lreduce([&](uint32_t p, uint32_t i, double sum, const Psj::State&,
+                      Psj::LocalReduceCtx& ctx) {
+    const graph::VertexId v = plan.parts[p].members[i];
+    ctx.AddOps(3);
+    ctx.EmitLocal(i, (b[v] + sum) * inv_diag[v]);
   });
-  psj.set_local_convergence([](const core::LocalState<uint32_t, double>& prev,
-                               const core::LocalState<uint32_t, double>& next,
-                               uint32_t) {
-    for (const auto& [k, v] : next) {
-      auto it = prev.find(k);
-      if (it == prev.end() || std::abs(v - it->second) >= kLocalTolerance) {
-        return false;
-      }
+  psj.set_local_convergence([](const Psj::State& prev, const Psj::State& next, uint32_t) {
+    for (size_t i = 0; i < next.size(); ++i) {
+      if (std::abs(next[i] - prev[i]) >= kLocalTolerance) return false;
     }
     return true;
   });
-  psj.set_gemit([&](uint32_t p, const core::LocalState<uint32_t, double>& state,
+  psj.set_gemit([&](uint32_t p, const Psj::State& state,
                     mr::MapContext<uint32_t, double>& ctx) {
     ScatterRowSums(g_sym, plan.parts[p].members,
-                   [&](graph::VertexId u) { return state.at(u); }, scratch, ctx);
+                   [&](graph::VertexId u) { return state[plan.local_of[u]]; }, scratch,
+                   ctx);
   });
   psj.set_greduce([&b, &inv_diag](const uint32_t& v, const std::vector<double>& sums,
                                   mr::ReduceContext<uint32_t, double>& ctx) {

@@ -29,6 +29,15 @@ struct KmUpdate {
   AMR_SERDE_FIELDS(sum, count)
 };
 
+/// Eager K-Means' local combiner: adds b's point sum and count into a.
+struct KmMerge {
+  KmUpdate operator()(KmUpdate a, const KmUpdate& b) const {
+    for (size_t d = 0; d < a.sum.size(); ++d) a.sum[d] += b.sum[d];
+    a.count += b.count;
+    return a;
+  }
+};
+
 /// Ops per point-to-centroid assignment (sub, mul, add per dim per centroid).
 uint64_t AssignOps(uint32_t k, uint32_t dims) {
   return static_cast<uint64_t>(3) * k * dims;
@@ -267,46 +276,34 @@ KMeansResult EagerKMeans(cluster::SimCluster& cluster, const Dataset& data,
   result.centroids = InitialCentroids(data, k, config.seed);
   result.trace = core::RunTrace("eager-kmeans");
 
-  // Dense cache of the gmap hashtable, refreshed per local iteration.
+  // Contiguous k x dims copy of the gmap hashtable's centroids, refreshed per
+  // local iteration for NearestCentroid.
   std::vector<double> centroid_cache(static_cast<size_t>(k) * dims);
 
-  using Psj = core::PartialSyncJob<uint32_t, uint32_t, KmUpdate>;
+  using Psj = core::PartialSyncJob<uint32_t, uint32_t, KmUpdate, KmMerge>;
   typename Psj::Config psj_config;
   psj_config.local.max_local_iterations = config.max_local_iterations;
-  psj_config.local.lcombine = [dims](const KmUpdate& a, const KmUpdate& b) {
-    KmUpdate merged = a;
-    for (uint32_t d = 0; d < dims; ++d) merged.sum[d] += b.sum[d];
-    merged.count += b.count;
-    return merged;
+  psj_config.local.on_iteration_start = [&](const Psj::State& state) {
+    for (uint32_t c = 0; c < k; ++c) {
+      std::copy(state[c].sum.begin(), state[c].sum.end(),
+                centroid_cache.begin() + static_cast<size_t>(c) * dims);
+    }
   };
-  psj_config.local.on_iteration_start =
-      [&](const core::LocalState<uint32_t, KmUpdate>& state) {
-        for (uint32_t c = 0; c < k; ++c) {
-          auto it = state.find(c);
-          if (it == state.end()) continue;
-          std::copy(it->second.sum.begin(), it->second.sum.end(),
-                    centroid_cache.begin() + static_cast<size_t>(c) * dims);
-        }
-      };
   Psj psj(cluster, psj_config);
 
   psj.set_partition_data(
       [&](uint32_t p) { return std::span<const uint32_t>(parts[p]); });
+  // Slot c holds centroid c.
   psj.set_init_state([&](uint32_t) {
-    core::LocalState<uint32_t, KmUpdate> state;
-    state.reserve(k * 2);
+    Psj::State state(k);
     for (uint32_t c = 0; c < k; ++c) {
-      KmUpdate entry;
-      entry.sum.assign(result.centroids.begin() + static_cast<size_t>(c) * dims,
-                       result.centroids.begin() + static_cast<size_t>(c + 1) * dims);
-      entry.count = 0;
-      state.emplace(c, std::move(entry));
+      state[c].sum.assign(result.centroids.begin() + static_cast<size_t>(c) * dims,
+                          result.centroids.begin() + static_cast<size_t>(c + 1) * dims);
     }
     return state;
   });
-  psj.set_lmap([&](const uint32_t& point_index,
-                   const core::LocalState<uint32_t, KmUpdate>&,
-                   core::LocalIntermediate<uint32_t, KmUpdate>& out) {
+  psj.set_lmap([&](const uint32_t& point_index, const Psj::State&,
+                   Psj::Intermediate& out) {
     const auto point = data.Point(point_index);
     const uint32_t c = NearestCentroid(point, centroid_cache, k, dims);
     KmUpdate update;
@@ -315,33 +312,25 @@ KMeansResult EagerKMeans(cluster::SimCluster& cluster, const Dataset& data,
     out.AddOps(AssignOps(k, dims) + dims);
     out.EmitLocalIntermediate(c, std::move(update));
   });
-  psj.set_lreduce([dims](const uint32_t& c, const std::vector<KmUpdate>& values,
-                         const core::LocalState<uint32_t, KmUpdate>&,
-                         core::LocalReduceContext<uint32_t, KmUpdate>& ctx) {
-    KmUpdate total;
-    total.sum.assign(dims, 0.0);
-    for (const KmUpdate& u : values) {
-      for (uint32_t d = 0; d < dims; ++d) total.sum[d] += u.sum[d];
-      total.count += u.count;
+  psj.set_lreduce([dims](uint32_t, uint32_t c, const KmUpdate& total, const Psj::State&,
+                         Psj::LocalReduceCtx& ctx) {
+    KmUpdate mean;
+    mean.sum.resize(dims);
+    for (uint32_t d = 0; d < dims; ++d) {
+      // Points can round to -0.0; 0.0 + keeps a -0.0 sum out of the state.
+      mean.sum[d] = (0.0 + total.sum[d]) / static_cast<double>(total.count);
     }
-    ctx.AddOps(values.size() * dims);
-    if (total.count > 0) {
-      for (uint32_t d = 0; d < dims; ++d) {
-        total.sum[d] /= static_cast<double>(total.count);
-      }
-      ctx.EmitLocal(c, std::move(total));
-    }
+    mean.count = total.count;
+    ctx.AddOps(dims);
+    ctx.EmitLocal(c, std::move(mean));
   });
   psj.set_local_convergence(
-      [&](const core::LocalState<uint32_t, KmUpdate>& prev,
-          const core::LocalState<uint32_t, KmUpdate>& next, uint32_t) {
+      [&](const Psj::State& prev, const Psj::State& next, uint32_t) {
         double movement = 0.0;
-        for (const auto& [c, entry] : next) {
-          auto it = prev.find(c);
-          if (it == prev.end()) return false;
+        for (uint32_t c = 0; c < k; ++c) {
           double dist = 0.0;
           for (uint32_t d = 0; d < dims; ++d) {
-            const double diff = entry.sum[d] - it->second.sum[d];
+            const double diff = next[c].sum[d] - prev[c].sum[d];
             dist += diff * diff;
           }
           movement = std::max(movement, std::sqrt(dist));

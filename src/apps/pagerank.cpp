@@ -151,58 +151,46 @@ PageRankResult EagerPageRank(cluster::SimCluster& cluster, const graph::Digraph&
   DenseAccumulator scratch(n);
 
   // --- the paper's four-function API ----------------------------------------
-  using Psj = core::PartialSyncJob<EagerVertex, uint32_t, double>;
+  using Psj = core::PartialSyncJob<EagerVertex, uint32_t, double, core::SumCombine>;
   typename Psj::Config psj_config;
   psj_config.local.max_local_iterations = config.max_local_iterations;
-  psj_config.local.lcombine = [](const double& a, const double& b) { return a + b; };
   Psj psj(cluster, psj_config);
 
   psj.set_partition_data([&](uint32_t p) {
     return std::span<const EagerVertex>(records[p]);
   });
+  // The gmap hashtable is indexed by member: slot i holds members[i]'s rank.
   psj.set_init_state([&](uint32_t p) {
-    const auto& members = plan.parts[p].members;
-    core::LocalState<uint32_t, double> state;
-    state.reserve(members.size() * 2);
-    for (graph::VertexId u : members) state.emplace(u, result.ranks[u]);
+    Psj::State state;
+    for (graph::VertexId u : plan.parts[p].members) state.push_back(result.ranks[u]);
     return state;
   });
-  psj.set_lmap([](const EagerVertex& x, const core::LocalState<uint32_t, double>& state,
-                  core::LocalIntermediate<uint32_t, double>& out) {
-    const graph::VertexId v = x.part->members[x.i];
-    const double c = state.at(v) * x.inv_outdeg;
+  psj.set_lmap([](const EagerVertex& x, const Psj::State& state, Psj::Intermediate& out) {
+    const double c = state[x.i] * x.inv_outdeg;
     const auto internal = x.part->Internal(x.i);
     out.AddOps(2 + internal.size());
-    for (uint32_t t : internal) out.EmitLocalIntermediate(x.part->members[t], c);
+    for (uint32_t t : internal) out.EmitLocalIntermediate(t, c);
     // External contributions are frozen for the round; emitting them keeps
     // every member key live in lreduce.
-    out.EmitLocalIntermediate(v, x.ext);
+    out.EmitLocalIntermediate(x.i, x.ext);
   });
-  psj.set_lreduce([](const uint32_t& v, const std::vector<double>& values,
-                     const core::LocalState<uint32_t, double>&,
-                     core::LocalReduceContext<uint32_t, double>& ctx) {
-    double sum = 0.0;
-    for (double c : values) sum += c;
-    ctx.AddOps(values.size());
-    ctx.EmitLocal(v, (1.0 - kPageRankDamping) + kPageRankDamping * sum);
+  psj.set_lreduce([](uint32_t, uint32_t i, double sum, const Psj::State&,
+                     Psj::LocalReduceCtx& ctx) {
+    ctx.AddOps(1);
+    ctx.EmitLocal(i, (1.0 - kPageRankDamping) + kPageRankDamping * sum);
   });
-  psj.set_local_convergence([](const core::LocalState<uint32_t, double>& prev,
-                               const core::LocalState<uint32_t, double>& next,
-                               uint32_t) {
-    for (const auto& [k, v] : next) {
-      auto it = prev.find(k);
-      if (it == prev.end() || std::abs(v - it->second) >= kLocalTolerance) {
-        return false;
-      }
+  psj.set_local_convergence([](const Psj::State& prev, const Psj::State& next, uint32_t) {
+    for (size_t i = 0; i < next.size(); ++i) {
+      if (std::abs(next[i] - prev[i]) >= kLocalTolerance) return false;
     }
     return true;
   });
-  psj.set_gemit([&](uint32_t p, const core::LocalState<uint32_t, double>& state,
+  psj.set_gemit([&](uint32_t p, const Psj::State& state,
                     mr::MapContext<uint32_t, double>& ctx) {
     uint64_t edge_ops = 0;
     for (const EagerVertex& x : records[p]) {
       const graph::VertexId u = x.part->members[x.i];
-      const double c = state.at(u) * x.inv_outdeg;
+      const double c = state[x.i] * x.inv_outdeg;
       if (x.inv_outdeg > 0.0) {
         for (graph::VertexId t : g.OutNeighbors(u)) scratch.Add(t, c);
         edge_ops += g.OutDegree(u);

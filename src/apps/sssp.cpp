@@ -176,61 +176,51 @@ SsspResult EagerSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
   result.trace = core::RunTrace("eager-sssp");
   DenseAccumulator scratch(n);
 
-  using Psj = core::PartialSyncJob<SsspVertex, uint32_t, double>;
+  using Psj = core::PartialSyncJob<SsspVertex, uint32_t, double, core::MinCombine>;
   typename Psj::Config psj_config;
   psj_config.local.max_local_iterations = config.max_local_iterations;
-  psj_config.local.lcombine = [](const double& a, const double& b) {
-    return std::min(a, b);
-  };
   Psj psj(cluster, psj_config);
 
   psj.set_partition_data(
       [&](uint32_t p) { return std::span<const SsspVertex>(records[p]); });
+  // Slot i holds members[i]'s distance. Unreachable members emit nothing, so
+  // their slots keep +inf across local iterations.
   psj.set_init_state([&](uint32_t p) {
-    const auto& members = plan.parts[p].members;
-    core::LocalState<uint32_t, double> state;
-    state.reserve(members.size() * 2);
-    for (graph::VertexId u : members) state.emplace(u, result.distances[u]);
+    Psj::State state;
+    for (graph::VertexId u : plan.parts[p].members) state.push_back(result.distances[u]);
     return state;
   });
-  psj.set_lmap([](const SsspVertex& x, const core::LocalState<uint32_t, double>& state,
-                  core::LocalIntermediate<uint32_t, double>& out) {
+  psj.set_lmap([](const SsspVertex& x, const Psj::State& state, Psj::Intermediate& out) {
     const BoundaryPlan::Part& part = *x.part;
-    const graph::VertexId v = part.members[x.i];
-    const double d = state.at(v);
+    const double d = state[x.i];
     const uint32_t begin = part.internal_offsets[x.i];
     const uint32_t end = part.internal_offsets[x.i + 1];
     out.AddOps(1 + end - begin);
     if (d != kInfDistance) {
       for (uint32_t e = begin; e < end; ++e) {
-        out.EmitLocalIntermediate(part.members[part.internal_targets[e]],
+        out.EmitLocalIntermediate(part.internal_targets[e],
                                   d + EdgeWeight(part.internal_weights, e));
       }
-      out.EmitLocalIntermediate(v, d);
+      out.EmitLocalIntermediate(x.i, d);
     }
-    if (x.ext != kInfDistance) out.EmitLocalIntermediate(v, x.ext);
+    if (x.ext != kInfDistance) out.EmitLocalIntermediate(x.i, x.ext);
   });
-  psj.set_lreduce([](const uint32_t& v, const std::vector<double>& values,
-                     const core::LocalState<uint32_t, double>&,
-                     core::LocalReduceContext<uint32_t, double>& ctx) {
-    double best = kInfDistance;
-    for (double c : values) best = std::min(best, c);
-    ctx.AddOps(values.size());
-    ctx.EmitLocal(v, best);
+  psj.set_lreduce([](uint32_t, uint32_t i, double best, const Psj::State&,
+                     Psj::LocalReduceCtx& ctx) {
+    ctx.AddOps(1);
+    ctx.EmitLocal(i, best);
   });
-  psj.set_local_convergence([](const core::LocalState<uint32_t, double>& prev,
-                               const core::LocalState<uint32_t, double>& next,
-                               uint32_t) {
-    for (const auto& [k, v] : next) {
-      auto it = prev.find(k);
-      if (it == prev.end() || std::abs(v - it->second) > kEps) return false;
+  psj.set_local_convergence([](const Psj::State& prev, const Psj::State& next, uint32_t) {
+    for (size_t i = 0; i < next.size(); ++i) {
+      if (std::abs(next[i] - prev[i]) > kEps) return false;
     }
     return true;
   });
-  psj.set_gemit([&](uint32_t p, const core::LocalState<uint32_t, double>& state,
+  psj.set_gemit([&](uint32_t p, const Psj::State& state,
                     mr::MapContext<uint32_t, double>& ctx) {
     ScatterRelax(g, plan.parts[p].members,
-                 [&](graph::VertexId u) { return state.at(u); }, scratch, ctx);
+                 [&](graph::VertexId u) { return state[plan.local_of[u]]; }, scratch,
+                 ctx);
   });
   psj.set_greduce(ReduceMin);
 

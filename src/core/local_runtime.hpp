@@ -9,28 +9,48 @@
 //     for each value in lreduce-output { EmitIntermediate(key, value); }
 //   }
 //
-// A hashtable keyed by LK stores the intermediate and final results of the
-// local MapReduce; lmap reads it, lreduce rewrites it, and on local
-// convergence its contents become gmap's output. Successive local iterations
-// are *eagerly scheduled*: they start immediately after the partial (local)
+// A hashtable stores the intermediate and final results of the local
+// MapReduce; lmap reads it, lreduce rewrites it, and on local convergence its
+// contents become gmap's output. Successive local iterations are *eagerly
+// scheduled*: they start immediately after the partial (local)
 // synchronization, which costs no network time — only the per-iteration
 // barrier between lmap and lreduce within this task.
 //
-// The hashtable is a FlatTable: flat storage iterated in first-insertion
-// order. Run() keeps one intermediate table and one next-state table for the
-// whole loop, so a local iteration clears and copies into warm buffers
-// instead of allocating a node per key.
+// The hashtable is dense: its keys are the indices [0, m) of the state that
+// the caller seeds, one slot per key (a graph partition's member index, a
+// centroid id). The intermediate table has the same m slots, a live flag per
+// slot and a touched list in first-emission order. A key's first emission is
+// stored as-is; later ones fold into it through the Combine functor, in
+// emission order — no identity value is folded in, so a key's value is the
+// left fold of exactly its emitted values, whatever the table's layout (a
+// hashed table gives the same bits). Run() keeps one intermediate table and
+// one next-state vector for the whole loop, so a local iteration clears and
+// copies into warm buffers.
+//
+// Every local reduce is a fold: each lreduce sees one combined value per key.
+// The uncombined lreduce(key, values) form is not offered, because every local
+// reduce in the paper's apps (PageRank, shortest path, K-Means, Jacobi) is an
+// associative fold, and the uncombined MapReduce is the General engine's
+// mr::Job, which groups values per key.
 //
 // Determinism contract:
-//   - lreduce visits keys in first-emission order. Emission follows xs order,
-//     so that order — and with it the last writer of any key that lreduce
-//     writes via EmitLocal — is a pure function of the inputs.
+//   - lreduce visits keys in first-emission order (the touched list).
+//     Emission follows xs order, so that order — and with it the last writer
+//     of any key that lreduce writes via EmitLocal — is a pure function of the
+//     inputs. Each key folds its values in emission order.
+//   - Keys that no lmap emits keep their slot: lreduce writes into a copy of
+//     the state.
 //   - lmap runs serially on the calling thread. The paper's Section IV notes
 //     the local operations "can use a thread-pool to extract further
 //     parallelism"; that intra-host pool is modeled in virtual time by
 //     PartialSyncJob::Config::gmap_time_scale, not executed.
+//
+// Under AMR_AUDIT, EmitLocalIntermediate and EmitLocal check that the key is
+// a slot of the state, key < m: an out-of-range dense key would otherwise
+// write past the table.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -38,77 +58,92 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "core/flat_table.hpp"
 #include "mr/context.hpp"
 
 namespace asyncmr::core {
 
-/// The hashtable holding local MapReduce state between local iterations.
-template <typename LK, typename LV>
-using LocalState = FlatTable<LK, LV>;
+/// The hashtable holding local MapReduce state between local iterations:
+/// slot i holds the value of key i.
+template <typename LV>
+using LocalState = std::vector<LV>;
 
-/// Collects EmitLocalIntermediate() output of lmap calls for one iteration.
-/// With a combiner (associative merge), values are folded on emit — this is
-/// exactly the paper's "hashtable ... used to store the intermediate and
-/// final results of the local MapReduce", and it keeps the memory footprint
-/// of a local iteration at one entry per key.
-template <typename LK, typename LV>
+/// Local combiner for sums (PageRank, Jacobi).
+struct SumCombine {
+  double operator()(double a, double b) const { return a + b; }
+};
+
+/// Local combiner for minima (shortest path).
+struct MinCombine {
+  double operator()(double a, double b) const { return std::min(a, b); }
+};
+
+/// Collects EmitLocalIntermediate() output of lmap calls for one iteration,
+/// folding each key's values on emit through Combine — the paper's
+/// "hashtable ... used to store the intermediate and final results of the
+/// local MapReduce", one entry per key.
+template <typename LV, typename Combine>
 class LocalIntermediate {
  public:
-  using CombineFn = std::function<LV(const LV&, const LV&)>;
+  /// An emitter over the keys [0, m).
+  explicit LocalIntermediate(size_t m) : values_(m), live_(m, 0) {}
 
-  explicit LocalIntermediate(CombineFn combine = nullptr)
-      : combine_(std::move(combine)) {}
-
-  void EmitLocalIntermediate(const LK& key, const LV& value) {
+  void EmitLocalIntermediate(uint32_t key, LV value) {
+    AUDIT_CHECK(key < values_.size())
+        << "local key " << key << " outside the state's " << values_.size()
+        << " slots";
     ops_ += mr::kOpsPerEmit;
     ++records_;
-    if (combine_) {
-      auto [it, inserted] = combined_.try_emplace(key, value);
-      if (!inserted) it->second = combine_(it->second, value);
+    if (live_[key]) {
+      values_[key] = Combine{}(std::move(values_[key]), value);
     } else {
-      groups_[key].push_back(value);
+      live_[key] = 1;
+      values_[key] = std::move(value);
+      touched_.push_back(key);
     }
   }
   void AddOps(uint64_t n) { ops_ += n; }
 
-  bool combining() const { return static_cast<bool>(combine_); }
-  FlatTable<LK, std::vector<LV>>& groups() { return groups_; }
-  FlatTable<LK, LV>& combined() { return combined_; }
+  /// Keys emitted since the last Clear(), in first-emission order.
+  std::span<const uint32_t> touched() const { return touched_; }
+  /// The folded value of a touched key.
+  const LV& value(uint32_t key) const { return values_[key]; }
   uint64_t ops() const { return ops_; }
   uint64_t records() const { return records_; }
 
   /// Empties the emitter for the next local iteration, keeping its buffers.
   void Clear() {
-    groups_.clear();
-    combined_.clear();
+    for (uint32_t key : touched_) live_[key] = 0;
+    touched_.clear();
     ops_ = 0;
     records_ = 0;
   }
 
  private:
-  CombineFn combine_;
-  FlatTable<LK, std::vector<LV>> groups_;
-  FlatTable<LK, LV> combined_;
+  std::vector<LV> values_;
+  std::vector<uint8_t> live_;
+  std::vector<uint32_t> touched_;
   uint64_t ops_ = 0;
   uint64_t records_ = 0;
 };
 
-/// lreduce's emit context: EmitLocal() rewrites the hashtable entry that the
+/// lreduce's emit context: EmitLocal() rewrites the hashtable slot that the
 /// next local iteration (or the final global emission) will observe.
-template <typename LK, typename LV>
+template <typename LV>
 class LocalReduceContext {
  public:
-  explicit LocalReduceContext(LocalState<LK, LV>& next) : next_(next) {}
-  void EmitLocal(const LK& key, const LV& value) {
-    next_[key] = value;
+  explicit LocalReduceContext(LocalState<LV>& next) : next_(next) {}
+  void EmitLocal(uint32_t key, LV value) {
+    AUDIT_CHECK(key < next_.size())
+        << "local key " << key << " outside the state's " << next_.size()
+        << " slots";
+    next_[key] = std::move(value);
     ops_ += mr::kOpsPerEmit;
   }
   void AddOps(uint64_t n) { ops_ += n; }
   uint64_t ops() const { return ops_; }
 
  private:
-  LocalState<LK, LV>& next_;
+  LocalState<LV>& next_;
   uint64_t ops_ = 0;
 };
 
@@ -119,31 +154,33 @@ struct LocalRunStats {
   bool hit_iteration_cap = false;
 };
 
-template <typename X, typename LK, typename LV>
+/// Combine is a stateless functor, LV(LV acc, const LV& value), folding a
+/// later emission into a key's accumulated value.
+template <typename X, typename LV, typename Combine>
 class LocalMapReduce {
  public:
+  using Intermediate = LocalIntermediate<LV, Combine>;
+  using ReduceContext = LocalReduceContext<LV>;
+
   /// lmap: consumes one element, reads the state hashtable, emits local
   /// intermediates.
-  using LMapFn = std::function<void(const X& x, const LocalState<LK, LV>& state,
-                                    LocalIntermediate<LK, LV>& out)>;
-  /// lreduce: folds the values emitted under one key; EmitLocal() publishes
+  using LMapFn = std::function<void(const X& x, const LocalState<LV>& state,
+                                    Intermediate& out)>;
+  /// lreduce: receives the folded value of one key; EmitLocal() publishes
   /// the new state entry.
-  using LReduceFn =
-      std::function<void(const LK& key, const std::vector<LV>& values,
-                         const LocalState<LK, LV>& state,
-                         LocalReduceContext<LK, LV>& ctx)>;
+  using LReduceFn = std::function<void(uint32_t key, const LV& value,
+                                       const LocalState<LV>& state,
+                                       ReduceContext& ctx)>;
   /// Local convergence test ("no-local-convergence-intimated" in Fig. 1).
-  using ConvergeFn = std::function<bool(const LocalState<LK, LV>& prev,
-                                        const LocalState<LK, LV>& next,
+  using ConvergeFn = std::function<bool(const LocalState<LV>& prev,
+                                        const LocalState<LV>& next,
                                         uint32_t completed_iterations)>;
 
   struct Config {
     uint32_t max_local_iterations = 1000;
-    /// Optional associative combiner folded on EmitLocalIntermediate().
-    typename LocalIntermediate<LK, LV>::CombineFn lcombine;
-    /// Optional hook before each lmap phase (e.g. snapshot the hashtable into
-    /// a dense cache the lmap closure reads).
-    std::function<void(const LocalState<LK, LV>&)> on_iteration_start;
+    /// Optional hook before each lmap phase (e.g. copy the hashtable into a
+    /// contiguous cache the lmap closure reads).
+    std::function<void(const LocalState<LV>&)> on_iteration_start;
   };
 
   LocalMapReduce(LMapFn lmap, LReduceFn lreduce, ConvergeFn converged,
@@ -157,32 +194,26 @@ class LocalMapReduce {
   }
 
   /// Runs local iterations to convergence; `state` is the gmap hashtable,
-  /// updated in place. Returns partial-sync statistics.
-  LocalRunStats Run(std::span<const X> xs, LocalState<LK, LV>& state) const {
+  /// updated in place, and its size fixes the key range. Returns
+  /// partial-sync statistics.
+  LocalRunStats Run(std::span<const X> xs, LocalState<LV>& state) const {
     LocalRunStats stats;
     // Reused by every local iteration: cleared or overwritten, never rebuilt.
-    LocalIntermediate<LK, LV> intermediate(config_.lcombine);
-    LocalState<LK, LV> next;
-    std::vector<LV> one(1, LV{});
+    Intermediate intermediate(state.size());
+    LocalState<LV> next;
     while (stats.local_iterations < config_.max_local_iterations) {
       // --- lmap phase -------------------------------------------------------
       if (config_.on_iteration_start) config_.on_iteration_start(state);
-      RunLmapPhase(xs, state, intermediate);
+      intermediate.Clear();
+      for (const X& x : xs) lmap_(x, state, intermediate);
       stats.ops += intermediate.ops();
       stats.intermediate_records += intermediate.records();
 
       // --- partial synchronization: lreduce phase ----------------------------
       next = state;  // untouched keys keep their value
-      LocalReduceContext<LK, LV> ctx(next);
-      if (intermediate.combining()) {
-        for (auto& [key, value] : intermediate.combined()) {
-          one[0] = std::move(value);
-          lreduce_(key, one, state, ctx);
-        }
-      } else {
-        for (const auto& [key, values] : intermediate.groups()) {
-          lreduce_(key, values, state, ctx);
-        }
+      ReduceContext ctx(next);
+      for (uint32_t key : intermediate.touched()) {
+        lreduce_(key, intermediate.value(key), state, ctx);
       }
       stats.ops += ctx.ops();
       ++stats.local_iterations;
@@ -196,13 +227,6 @@ class LocalMapReduce {
   }
 
  private:
-  /// Refills `out` with one lmap sweep over xs.
-  void RunLmapPhase(std::span<const X> xs, const LocalState<LK, LV>& state,
-                    LocalIntermediate<LK, LV>& out) const {
-    out.Clear();
-    for (const X& x : xs) lmap_(x, state, out);
-  }
-
   LMapFn lmap_;
   LReduceFn lreduce_;
   ConvergeFn converged_;

@@ -26,11 +26,17 @@
 
 namespace asyncmr::core {
 
-template <typename X, typename K, typename V>
+/// The gmap hashtable is dense (see core/local_runtime.hpp): the state that
+/// init_state returns has one slot per local key, and Combine folds the local
+/// intermediates. K is the global key type and must be constructible from a
+/// slot index for the default gemit.
+template <typename X, typename K, typename V, typename Combine>
 class PartialSyncJob {
  public:
-  using LocalMR = LocalMapReduce<X, K, V>;
-  using State = LocalState<K, V>;
+  using LocalMR = LocalMapReduce<X, V, Combine>;
+  using State = LocalState<V>;
+  using Intermediate = typename LocalMR::Intermediate;
+  using LocalReduceCtx = typename LocalMR::ReduceContext;
   using GlobalMapCtx = mr::MapContext<K, V>;
   using GlobalReduceCtx = mr::ReduceContext<K, V>;
 
@@ -38,6 +44,10 @@ class PartialSyncJob {
   using PartitionDataFn = std::function<std::span<const X>(uint32_t partition)>;
   /// Builds the gmap hashtable's initial contents for one partition.
   using InitStateFn = std::function<State(uint32_t partition)>;
+  /// lreduce, told which partition's gmap runs it (gemit is told the same).
+  using LReduceFn =
+      std::function<void(uint32_t partition, uint32_t key, const V& value,
+                         const State& state, LocalReduceCtx& ctx)>;
   /// gmap's final emission once the local MapReduce converged.
   using GEmitFn =
       std::function<void(uint32_t partition, const State& state, GlobalMapCtx& ctx)>;
@@ -56,14 +66,15 @@ class PartialSyncJob {
       : cluster_(cluster), config_(std::move(config)) {}
 
   void set_lmap(typename LocalMR::LMapFn fn) { lmap_ = std::move(fn); }
-  void set_lreduce(typename LocalMR::LReduceFn fn) { lreduce_ = std::move(fn); }
+  void set_lreduce(LReduceFn fn) { lreduce_ = std::move(fn); }
   void set_local_convergence(typename LocalMR::ConvergeFn fn) {
     local_converged_ = std::move(fn);
   }
   void set_greduce(GReduceFn fn) { greduce_ = std::move(fn); }
   void set_partition_data(PartitionDataFn fn) { partition_data_ = std::move(fn); }
   void set_init_state(InitStateFn fn) { init_state_ = std::move(fn); }
-  /// Optional; defaults to emitting every hashtable entry (Figure 1).
+  /// Optional; defaults to emitting every hashtable slot as (K(i), state[i])
+  /// in index order (Figure 1).
   void set_gemit(GEmitFn fn) { gemit_ = std::move(fn); }
 
   /// Runs one global iteration: |splits| gmap tasks, then greduce.
@@ -78,7 +89,13 @@ class PartialSyncJob {
 
     // --- gmap: Figure 1's construction --------------------------------------
     job.set_mapper([this](uint32_t partition, GlobalMapCtx& ctx) {
-      LocalMR local(lmap_, lreduce_, local_converged_, config_.local);
+      LocalMR local(
+          lmap_,
+          [this, partition](uint32_t key, const V& value, const State& state,
+                            LocalReduceCtx& lctx) {
+            lreduce_(partition, key, value, state, lctx);
+          },
+          local_converged_, config_.local);
       State state = init_state_(partition);
       const std::span<const X> xs = partition_data_(partition);
       const LocalRunStats stats = local.Run(xs, state);
@@ -88,7 +105,7 @@ class PartialSyncJob {
       if (gemit_) {
         gemit_(partition, state, ctx);
       } else {
-        for (const auto& [k, v] : state) ctx.Emit(k, v);
+        for (uint32_t i = 0; i < state.size(); ++i) ctx.Emit(K(i), state[i]);
       }
     });
 
@@ -114,7 +131,7 @@ class PartialSyncJob {
   cluster::SimCluster& cluster_;
   Config config_;
   typename LocalMR::LMapFn lmap_;
-  typename LocalMR::LReduceFn lreduce_;
+  LReduceFn lreduce_;
   typename LocalMR::ConvergeFn local_converged_;
   GReduceFn greduce_;
   PartitionDataFn partition_data_;

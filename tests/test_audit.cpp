@@ -10,7 +10,7 @@
 #include "async/progress.hpp"
 #include "async/state_store.hpp"
 #include "common/check.hpp"
-#include "core/flat_table.hpp"
+#include "core/local_runtime.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "sim/event_queue.hpp"
@@ -159,35 +159,45 @@ TEST(AuditNetworkDeathTest, NodeRateOversubscriptionTrips) {
 
 #endif  // AMR_AUDIT
 
-// --- flat hashtable index ----------------------------------------------------
+// --- dense local hashtable key range -------------------------------------------
 
-TEST(AuditFlatTable, GrowingTableDoesNotTrip) {
-  // Positive twin: growth from empty through several rehashes, then a
-  // reserve-driven one, re-verifies a sound index every time.
-  asyncmr::core::FlatTable<uint32_t, double> table;
-  for (uint32_t k = 0; k < 1000; ++k) table[k * 4096] = k;
-  table.reserve(5000);
-  EXPECT_EQ(table.size(), 1000u);
-  EXPECT_EQ(table.at(999u * 4096), 999.0);
+using LocalSum = asyncmr::core::LocalIntermediate<double, asyncmr::core::SumCombine>;
+
+TEST(AuditLocalKeyRange, KeysInsideTheStateDoNotTrip) {
+  // Positive twin: every slot of a 4-slot state, through both emit paths.
+  LocalSum out(4);
+  asyncmr::core::LocalState<double> next(4, 0.0);
+  asyncmr::core::LocalReduceContext<double> ctx(next);
+  for (uint32_t key = 0; key < 4; ++key) {
+    out.EmitLocalIntermediate(key, 1.0);
+    out.EmitLocalIntermediate(key, 2.0);
+    ctx.EmitLocal(key, out.value(key));
+  }
+  EXPECT_EQ(out.touched().size(), 4u);
+  EXPECT_EQ(next, (asyncmr::core::LocalState<double>{3.0, 3.0, 3.0, 3.0}));
 }
 
 #ifdef AMR_AUDIT
 
-TEST(AuditFlatTableDeathTest, DuplicateKeyTripsOnRehash) {
+TEST(AuditLocalKeyRangeDeathTest, IntermediateKeyPastTheStateTrips) {
   SKIP_WITHOUT_AUDIT();
-  // Entry 1 takes entry 0's key behind the index's back. The next rehash
-  // places both, but a probe for that key stops at entry 0, so entry 1 is
-  // unreachable from its home slot.
-  using Table = asyncmr::core::FlatTable<uint32_t, double>;
   EXPECT_DEATH(
       {
-        Table table;
-        table[1] = 1.0;
-        table[2] = 2.0;
-        table.TestOnlyOverwriteKey(1, 1);
-        for (uint32_t k = 3; k < 40; ++k) table[k] = 0.0;  // forces a rehash
+        LocalSum out(4);
+        out.EmitLocalIntermediate(4, 1.0);
       },
-      "unreachable from its home slot");
+      "local key 4 outside the state's 4 slots");
+}
+
+TEST(AuditLocalKeyRangeDeathTest, EmitLocalPastTheStateTrips) {
+  SKIP_WITHOUT_AUDIT();
+  EXPECT_DEATH(
+      {
+        asyncmr::core::LocalState<double> next(4, 0.0);
+        asyncmr::core::LocalReduceContext<double> ctx(next);
+        ctx.EmitLocal(7, 1.0);
+      },
+      "local key 7 outside the state's 4 slots");
 }
 
 #endif  // AMR_AUDIT

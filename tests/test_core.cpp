@@ -1,14 +1,12 @@
-// Unit tests: the paper's API — LocalMapReduce (Fig. 1 construction), partial
-// synchronizations, eager scheduling semantics, PartialSyncJob — and the
-// FlatTable hashtable underneath it.
+// Unit tests: the paper's API — LocalMapReduce (Fig. 1 construction) over
+// its dense hashtable, partial synchronizations, eager scheduling semantics,
+// and PartialSyncJob.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <string>
-#include <unordered_map>
+#include <map>
 
-#include "common/rng.hpp"
-#include "core/flat_table.hpp"
 #include "core/local_runtime.hpp"
 #include "core/metrics.hpp"
 #include "core/partial_sync_job.hpp"
@@ -24,6 +22,10 @@ cluster::ClusterSpec QuietSpec() {
   return spec;
 }
 
+using State = LocalState<double>;
+using Local = LocalMapReduce<uint32_t, double, SumCombine>;
+using Psj = PartialSyncJob<uint32_t, uint32_t, double, SumCombine>;
+
 // A tiny iterative kernel: values flow toward the average of neighbors on a
 // 4-cycle; fixed point = all equal.
 struct Cell {
@@ -31,24 +33,22 @@ struct Cell {
   uint32_t left;
   uint32_t right;
 };
+using CellLocal = LocalMapReduce<Cell, double, SumCombine>;
 
 TEST(LocalMapReduce, IteratesToLocalConvergence) {
   std::vector<Cell> cells{{0, 3, 1}, {1, 0, 2}, {2, 1, 3}, {3, 2, 0}};
-  LocalState<uint32_t, double> state{{0, 0.0}, {1, 4.0}, {2, 8.0}, {3, 4.0}};
+  State state{0.0, 4.0, 8.0, 4.0};
 
-  LocalMapReduce<Cell, uint32_t, double> local(
-      [](const Cell& c, const LocalState<uint32_t, double>& s,
-         LocalIntermediate<uint32_t, double>& out) {
-        out.EmitLocalIntermediate(c.id, (s.at(c.left) + s.at(c.right)) / 2.0);
+  CellLocal local(
+      [](const Cell& c, const State& s, CellLocal::Intermediate& out) {
+        out.EmitLocalIntermediate(c.id, (s[c.left] + s[c.right]) / 2.0);
       },
-      [](const uint32_t& k, const std::vector<double>& vs,
-         const LocalState<uint32_t, double>&, LocalReduceContext<uint32_t, double>& ctx) {
-        ctx.EmitLocal(k, vs[0]);
+      [](uint32_t k, double v, const State&, CellLocal::ReduceContext& ctx) {
+        ctx.EmitLocal(k, v);
       },
-      [](const LocalState<uint32_t, double>& prev,
-         const LocalState<uint32_t, double>& next, uint32_t) {
-        for (const auto& [k, v] : next) {
-          if (std::abs(v - prev.at(k)) > 1e-10) return false;
+      [](const State& prev, const State& next, uint32_t) {
+        for (size_t i = 0; i < next.size(); ++i) {
+          if (std::abs(next[i] - prev[i]) > 1e-10) return false;
         }
         return true;
       });
@@ -57,87 +57,100 @@ TEST(LocalMapReduce, IteratesToLocalConvergence) {
   EXPECT_FALSE(stats.hit_iteration_cap);
   // The symmetric start settles in one sweep, plus one confirming iteration.
   EXPECT_GE(stats.local_iterations, 2u);
-  for (const auto& [k, v] : state) EXPECT_NEAR(v, 4.0, 1e-8);
+  for (double v : state) EXPECT_NEAR(v, 4.0, 1e-8);
   EXPECT_GT(stats.ops, 0u);
 }
 
 TEST(LocalMapReduce, IterationCapReported) {
   std::vector<Cell> cells{{0, 1, 1}, {1, 0, 0}};
-  LocalState<uint32_t, double> state{{0, 0.0}, {1, 1.0}};
-  LocalMapReduce<Cell, uint32_t, double>::Config config;
+  State state{0.0, 1.0};
+  CellLocal::Config config;
   config.max_local_iterations = 3;
-  LocalMapReduce<Cell, uint32_t, double> local(
-      [](const Cell& c, const LocalState<uint32_t, double>& s,
-         LocalIntermediate<uint32_t, double>& out) {
-        out.EmitLocalIntermediate(c.id, s.at(c.left) + 1.0);  // never settles
+  CellLocal local(
+      [](const Cell& c, const State& s, CellLocal::Intermediate& out) {
+        out.EmitLocalIntermediate(c.id, s[c.left] + 1.0);  // never settles
       },
-      [](const uint32_t& k, const std::vector<double>& vs,
-         const LocalState<uint32_t, double>&, LocalReduceContext<uint32_t, double>& ctx) {
-        ctx.EmitLocal(k, vs[0]);
+      [](uint32_t k, double v, const State&, CellLocal::ReduceContext& ctx) {
+        ctx.EmitLocal(k, v);
       },
-      [](const LocalState<uint32_t, double>&, const LocalState<uint32_t, double>&,
-         uint32_t) { return false; },
-      config);
+      [](const State&, const State&, uint32_t) { return false; }, config);
   const LocalRunStats stats = local.Run(cells, state);
   EXPECT_TRUE(stats.hit_iteration_cap);
   EXPECT_EQ(stats.local_iterations, 3u);
 }
 
-TEST(LocalMapReduce, CombinerMatchesPlainGrouping) {
-  // Sum-combine must produce the same fixed point as grouped values.
-  std::vector<uint32_t> xs{0, 1, 2, 3, 4};
-  auto lmap = [](const uint32_t& x, const LocalState<uint32_t, double>&,
-                 LocalIntermediate<uint32_t, double>& out) {
-    out.EmitLocalIntermediate(x % 2, 1.0);
-    out.EmitLocalIntermediate(x % 2, 2.0);
+TEST(LocalMapReduce, FoldsEachKeyInEmissionOrder) {
+  // x emits kValues[x] under key x % 2. Next to +-1e16, +-1 is below half an
+  // ulp, so each key's sum depends on the order its values are folded in.
+  static constexpr double kValues[] = {1.0, 1e16, 1e16, 1.0, 1.0, -1e16, -1e16, -1.0};
+  const std::vector<uint32_t> xs{0, 1, 2, 3, 4, 5, 6, 7};
+  auto hand_fold = [&](uint32_t key, bool reversed) {
+    std::vector<double> values;
+    for (uint32_t x : xs) {
+      if (x % 2 == key) values.push_back(kValues[x]);
+    }
+    if (reversed) std::reverse(values.begin(), values.end());
+    double acc = values[0];
+    for (size_t i = 1; i < values.size(); ++i) acc = acc + values[i];
+    return acc;
   };
-  auto lreduce = [](const uint32_t& k, const std::vector<double>& vs,
-                    const LocalState<uint32_t, double>&,
-                    LocalReduceContext<uint32_t, double>& ctx) {
-    double sum = 0;
-    for (double v : vs) sum += v;
-    ctx.EmitLocal(k, sum);
-  };
-  auto one_shot = [](const LocalState<uint32_t, double>&,
-                     const LocalState<uint32_t, double>&, uint32_t) { return true; };
 
-  LocalState<uint32_t, double> plain_state;
-  LocalMapReduce<uint32_t, uint32_t, double> plain(lmap, lreduce, one_shot);
-  plain.Run(xs, plain_state);
+  Local local(
+      [](const uint32_t& x, const State&, Local::Intermediate& out) {
+        out.EmitLocalIntermediate(x % 2, kValues[x]);
+      },
+      [](uint32_t k, double v, const State&, Local::ReduceContext& ctx) {
+        ctx.EmitLocal(k, v);
+      },
+      [](const State&, const State&, uint32_t) { return true; });
+  State state(2, 0.0);
+  local.Run(xs, state);
 
-  LocalMapReduce<uint32_t, uint32_t, double>::Config config;
-  config.lcombine = [](const double& a, const double& b) { return a + b; };
-  LocalState<uint32_t, double> combined_state;
-  LocalMapReduce<uint32_t, uint32_t, double> combined(lmap, lreduce, one_shot, config);
-  combined.Run(xs, combined_state);
-
-  ASSERT_EQ(plain_state.size(), combined_state.size());
-  for (const auto& [k, v] : plain_state) {
-    EXPECT_DOUBLE_EQ(v, combined_state.at(k)) << "key " << k;
+  for (uint32_t key = 0; key < 2; ++key) {
+    ASSERT_NE(hand_fold(key, false), hand_fold(key, true)) << "key " << key;
+    EXPECT_EQ(state[key], hand_fold(key, false)) << "key " << key;
   }
+}
+
+TEST(LocalMapReduce, UntouchedKeysKeepTheirValue) {
+  // Only keys 1 and 3 are ever emitted; slots 0 and 2 must carry their seed
+  // through every local iteration.
+  const std::vector<uint32_t> xs{1, 3};
+  uint32_t checks = 0;
+  Local local(
+      [](const uint32_t& x, const State& s, Local::Intermediate& out) {
+        out.EmitLocalIntermediate(x, s[x] + 1.0);
+      },
+      [](uint32_t k, double v, const State&, Local::ReduceContext& ctx) {
+        ctx.EmitLocal(k, v);
+      },
+      [&checks](const State&, const State& next, uint32_t iters) {
+        EXPECT_EQ(next[0], 10.0);
+        EXPECT_EQ(next[2], 30.0);
+        ++checks;
+        return iters >= 3;
+      });
+  State state{10.0, 20.0, 30.0, 40.0};
+  local.Run(xs, state);
+  EXPECT_EQ(checks, 3u);
+  EXPECT_EQ(state, (State{10.0, 23.0, 30.0, 43.0}));
 }
 
 TEST(LocalMapReduce, OnIterationStartHookRuns) {
   std::vector<uint32_t> xs{1, 2, 3};
   int hook_calls = 0;
-  LocalMapReduce<uint32_t, uint32_t, double>::Config config;
-  config.on_iteration_start = [&hook_calls](const LocalState<uint32_t, double>&) {
-    ++hook_calls;
-  };
+  Local::Config config;
+  config.on_iteration_start = [&hook_calls](const State&) { ++hook_calls; };
   config.max_local_iterations = 4;
-  LocalMapReduce<uint32_t, uint32_t, double> local(
-      [](const uint32_t& x, const LocalState<uint32_t, double>&,
-         LocalIntermediate<uint32_t, double>& out) {
+  Local local(
+      [](const uint32_t& x, const State&, Local::Intermediate& out) {
         out.EmitLocalIntermediate(x, 1.0);
       },
-      [](const uint32_t& k, const std::vector<double>&,
-         const LocalState<uint32_t, double>&, LocalReduceContext<uint32_t, double>& ctx) {
+      [](uint32_t k, double, const State&, Local::ReduceContext& ctx) {
         ctx.EmitLocal(k, 1.0);
       },
-      [](const LocalState<uint32_t, double>&, const LocalState<uint32_t, double>&,
-         uint32_t iters) { return iters >= 2; },
-      config);
-  LocalState<uint32_t, double> state;
+      [](const State&, const State&, uint32_t iters) { return iters >= 2; }, config);
+  State state(4, 0.0);
   local.Run(xs, state);
   EXPECT_EQ(hook_calls, 2);
 }
@@ -157,32 +170,19 @@ std::vector<uint32_t> Iota(uint32_t n) {
 
 TEST(LocalMapReduce, LreduceSeesKeysInFirstEmissionOrder) {
   const std::vector<uint32_t> xs{5, 3, 9, 3, 1, 5, 0, 9};
-  auto visited_order = [&](LocalMapReduce<uint32_t, uint32_t, double>::Config config) {
-    std::vector<uint32_t> visited;
-    LocalMapReduce<uint32_t, uint32_t, double> local(
-        [](const uint32_t& x, const LocalState<uint32_t, double>&,
-           LocalIntermediate<uint32_t, double>& out) {
-          out.EmitLocalIntermediate(x, 1.0);
-        },
-        [&visited](const uint32_t& k, const std::vector<double>&,
-                   const LocalState<uint32_t, double>&,
-                   LocalReduceContext<uint32_t, double>& ctx) {
-          visited.push_back(k);
-          ctx.EmitLocal(k, 0.0);
-        },
-        [](const LocalState<uint32_t, double>&, const LocalState<uint32_t, double>&,
-           uint32_t) { return true; },
-        config);
-    LocalState<uint32_t, double> state;
-    local.Run(xs, state);
-    return visited;
-  };
-  const std::vector<uint32_t> expected{5, 3, 9, 1, 0};
-  LocalMapReduce<uint32_t, uint32_t, double>::Config plain;
-  EXPECT_EQ(visited_order(plain), expected);
-  LocalMapReduce<uint32_t, uint32_t, double>::Config combined;
-  combined.lcombine = [](const double& a, const double& b) { return a + b; };
-  EXPECT_EQ(visited_order(combined), expected);
+  std::vector<uint32_t> visited;
+  Local local(
+      [](const uint32_t& x, const State&, Local::Intermediate& out) {
+        out.EmitLocalIntermediate(x, 1.0);
+      },
+      [&visited](uint32_t k, double, const State&, Local::ReduceContext& ctx) {
+        visited.push_back(k);
+        ctx.EmitLocal(k, 0.0);
+      },
+      [](const State&, const State&, uint32_t) { return true; });
+  State state(10, 0.0);
+  local.Run(xs, state);
+  EXPECT_EQ(visited, (std::vector<uint32_t>{5, 3, 9, 1, 0}));
 }
 
 TEST(LocalMapReduce, ForeignKeyLastWriterIsStable) {
@@ -191,116 +191,24 @@ TEST(LocalMapReduce, ForeignKeyLastWriterIsStable) {
   static constexpr uint32_t kForeign = 1000;
   const std::vector<uint32_t> xs = Iota(200);
   auto last_writer = [&] {
-    LocalMapReduce<uint32_t, uint32_t, double> local(
-        [](const uint32_t& x, const LocalState<uint32_t, double>&,
-           LocalIntermediate<uint32_t, double>& out) {
+    Local local(
+        [](const uint32_t& x, const State&, Local::Intermediate& out) {
           out.EmitLocalIntermediate(ScrambledKey(x), static_cast<double>(x));
         },
-        [](const uint32_t& k, const std::vector<double>& vs,
-           const LocalState<uint32_t, double>&, LocalReduceContext<uint32_t, double>& ctx) {
-          ctx.EmitLocal(k, vs.front());
+        [](uint32_t k, double v, const State&, Local::ReduceContext& ctx) {
+          ctx.EmitLocal(k, v);
           ctx.EmitLocal(kForeign, static_cast<double>(k));
         },
-        [](const LocalState<uint32_t, double>&, const LocalState<uint32_t, double>&,
-           uint32_t) { return true; });
-    LocalState<uint32_t, double> state;
+        [](const State&, const State&, uint32_t) { return true; });
+    State state(kForeign + 1, 0.0);
     local.Run(xs, state);
-    return state.at(kForeign);
+    return state[kForeign];
   };
   // x = 0..60 first-emit all 61 keys, so the last key visited is
   // ScrambledKey(60) = 24 (a sorted visit would have ended at 60).
   const double serial = last_writer();
   EXPECT_EQ(serial, static_cast<double>(ScrambledKey(60)));
   EXPECT_EQ(last_writer(), serial);
-}
-
-// --- FlatTable ----------------------------------------------------------------
-
-// Random operations against std::unordered_map through many rehash growths:
-// contents must agree, and iteration must follow first insertion.
-TEST(FlatTable, MatchesUnorderedMapInFirstInsertionOrder) {
-  Rng rng(2010);
-  FlatTable<uint32_t, uint64_t> table;
-  std::unordered_map<uint32_t, uint64_t> ref;
-  std::vector<uint32_t> order;
-  auto expect_same = [&](const FlatTable<uint32_t, uint64_t>& t) {
-    ASSERT_EQ(t.size(), ref.size());
-    ASSERT_EQ(t.empty(), ref.empty());
-    size_t i = 0;
-    for (const auto& [k, v] : t) {
-      ASSERT_LT(i, order.size());
-      EXPECT_EQ(k, order[i++]);
-      EXPECT_EQ(v, ref.at(k));
-    }
-  };
-
-  for (uint64_t round = 0; round < 4; ++round) {
-    for (uint64_t op = 0; op < 20000; ++op) {
-      // Multiples of 1024 share low bits, so weak mixing would pile them up.
-      const uint32_t key = static_cast<uint32_t>(rng.NextBounded(4000)) * 1024;
-      switch (rng.NextBounded(5)) {
-        case 0: {
-          const auto [it, inserted] = table.try_emplace(key, op);
-          EXPECT_EQ(inserted, ref.try_emplace(key, op).second);
-          EXPECT_EQ(it->first, key);
-          EXPECT_EQ(it->second, ref.at(key));
-          if (inserted) order.push_back(key);
-          break;
-        }
-        case 1:
-          if (ref.count(key) == 0) order.push_back(key);
-          table[key] += op;
-          ref[key] += op;
-          break;
-        case 2: {
-          const auto it = table.find(key);
-          const auto rit = ref.find(key);
-          ASSERT_EQ(it == table.end(), rit == ref.end());
-          if (it != table.end()) {
-            EXPECT_EQ(it->second, rit->second);
-          }
-          break;
-        }
-        case 3:
-          EXPECT_EQ(table.count(key), ref.count(key));
-          break;
-        default:
-          if (ref.count(key) != 0) {
-            EXPECT_EQ(table.at(key), ref.at(key));
-          }
-          break;
-      }
-    }
-    expect_same(table);
-
-    // Copy-assignment over a table with other contents and a smaller index.
-    FlatTable<uint32_t, uint64_t> copy{{7, 1}, {9, 2}};
-    copy = table;
-    expect_same(copy);
-
-    if (round == 0) table.reserve(table.size() * 8);  // grow without inserting
-    if (round == 2) {
-      // clear() keeps capacity; the table must work as new afterwards.
-      table.clear();
-      ref.clear();
-      order.clear();
-      expect_same(table);
-      EXPECT_EQ(table.find(0), table.end());
-    }
-    expect_same(table);
-  }
-}
-
-TEST(FlatTable, HoldsNonTrivialEntries) {
-  FlatTable<std::string, std::vector<int>> table{{"b", {1}}, {"a", {2, 3}}};
-  table["c"].push_back(4);
-  table["a"].push_back(5);
-  EXPECT_FALSE(table.emplace("b", std::vector<int>{9}).second);
-  std::vector<std::string> keys;
-  for (const auto& [k, v] : table) keys.push_back(k);
-  EXPECT_EQ(keys, (std::vector<std::string>{"b", "a", "c"}));
-  EXPECT_EQ(table.at("a"), (std::vector<int>{2, 3, 5}));
-  EXPECT_EQ(table.at("b"), (std::vector<int>{1}));
 }
 
 // --- PartialSyncJob -----------------------------------------------------------
@@ -311,31 +219,21 @@ TEST(PartialSyncJob, RunsGmapPerPartitionAndGlobalReduce) {
   // iterated identity (converges after one refinement); greduce totals them.
   std::vector<std::vector<uint32_t>> parts{{1, 2, 3}, {10, 20}};
 
-  PartialSyncJob<uint32_t, uint32_t, double>::Config config;
+  Psj::Config config;
   config.job.num_reducers = 2;
   config.job.write_output_to_dfs = false;
-  config.local.lcombine = [](const double& a, const double& b) { return a + b; };
-  PartialSyncJob<uint32_t, uint32_t, double> psj(sim, config);
+  Psj psj(sim, config);
 
   psj.set_partition_data(
       [&parts](uint32_t p) { return std::span<const uint32_t>(parts[p]); });
-  psj.set_init_state([](uint32_t) { return LocalState<uint32_t, double>{}; });
-  psj.set_lmap([](const uint32_t& x, const LocalState<uint32_t, double>&,
-                  LocalIntermediate<uint32_t, double>& out) {
+  psj.set_init_state([](uint32_t) { return State(1, 0.0); });
+  psj.set_lmap([](const uint32_t& x, const State&, Psj::Intermediate& out) {
     out.EmitLocalIntermediate(0, static_cast<double>(x));
   });
-  psj.set_lreduce([](const uint32_t& k, const std::vector<double>& vs,
-                     const LocalState<uint32_t, double>&,
-                     LocalReduceContext<uint32_t, double>& ctx) {
-    double sum = 0;
-    for (double v : vs) sum += v;
-    ctx.EmitLocal(k, sum);
-  });
-  psj.set_local_convergence([](const LocalState<uint32_t, double>& prev,
-                               const LocalState<uint32_t, double>& next, uint32_t) {
-    auto it = prev.find(0);
-    return it != prev.end() && next.count(0) && it->second == next.at(0);
-  });
+  psj.set_lreduce([](uint32_t, uint32_t k, double sum, const State&,
+                     Psj::LocalReduceCtx& ctx) { ctx.EmitLocal(k, sum); });
+  psj.set_local_convergence(
+      [](const State& prev, const State& next, uint32_t) { return prev[0] == next[0]; });
   psj.set_greduce([](const uint32_t& k, const std::vector<double>& vs,
                      mr::ReduceContext<uint32_t, double>& ctx) {
     double sum = 0;
@@ -352,30 +250,57 @@ TEST(PartialSyncJob, RunsGmapPerPartitionAndGlobalReduce) {
   EXPECT_GE(psj.last_local_iterations(), 2u);
 }
 
+TEST(PartialSyncJob, LreduceIsToldItsPartition) {
+  cluster::SimCluster sim(QuietSpec());
+  std::vector<std::vector<uint32_t>> parts{{0}, {0}, {0}};
+  Psj::Config config;
+  config.job.num_reducers = 1;
+  config.job.write_output_to_dfs = false;
+  Psj psj(sim, config);
+  psj.set_partition_data(
+      [&parts](uint32_t p) { return std::span<const uint32_t>(parts[p]); });
+  psj.set_init_state([](uint32_t) { return State(1, 0.0); });
+  psj.set_lmap([](const uint32_t& x, const State&, Psj::Intermediate& out) {
+    out.EmitLocalIntermediate(x, 1.0);
+  });
+  psj.set_lreduce([](uint32_t p, uint32_t k, double, const State&,
+                     Psj::LocalReduceCtx& ctx) { ctx.EmitLocal(k, 10.0 * p); });
+  psj.set_local_convergence([](const State&, const State&, uint32_t) { return true; });
+  psj.set_gemit([](uint32_t p, const State& s, mr::MapContext<uint32_t, double>& ctx) {
+    ctx.Emit(p, s[0]);
+  });
+  psj.set_greduce([](const uint32_t& k, const std::vector<double>& vs,
+                     mr::ReduceContext<uint32_t, double>& ctx) { ctx.Emit(k, vs[0]); });
+  auto out = psj.RunGlobalIteration(std::vector<mr::SplitDesc>(3));
+  std::map<uint32_t, double> got(out.records.begin(), out.records.end());
+  EXPECT_EQ(got, (std::map<uint32_t, double>{{0, 0.0}, {1, 10.0}, {2, 20.0}}));
+}
+
 TEST(PartialSyncJob, DefaultGemitEmitsHashtable) {
   cluster::SimCluster sim(QuietSpec());
   std::vector<std::vector<uint32_t>> parts{{5}, {9}};
-  PartialSyncJob<uint32_t, uint32_t, double>::Config config;
+  Psj::Config config;
   config.job.num_reducers = 2;
   config.job.write_output_to_dfs = false;
-  PartialSyncJob<uint32_t, uint32_t, double> psj(sim, config);
+  Psj psj(sim, config);
   psj.set_partition_data(
       [&parts](uint32_t p) { return std::span<const uint32_t>(parts[p]); });
   psj.set_init_state([](uint32_t p) {
-    // Hashtable pre-seeded; no lmap emissions -> state unchanged.
-    return LocalState<uint32_t, double>{{p, 100.0 + p}};
+    // Hashtable pre-seeded at slot p (lower slots hold 0); no lmap emissions
+    // -> state unchanged.
+    State state(p + 1, 0.0);
+    state[p] = 100.0 + p;
+    return state;
   });
-  psj.set_lmap([](const uint32_t&, const LocalState<uint32_t, double>&,
-                  LocalIntermediate<uint32_t, double>&) {});
-  psj.set_lreduce([](const uint32_t&, const std::vector<double>&,
-                     const LocalState<uint32_t, double>&,
-                     LocalReduceContext<uint32_t, double>&) {});
-  psj.set_local_convergence([](const LocalState<uint32_t, double>&,
-                               const LocalState<uint32_t, double>&,
-                               uint32_t) { return true; });
+  psj.set_lmap([](const uint32_t&, const State&, Psj::Intermediate&) {});
+  psj.set_lreduce(
+      [](uint32_t, uint32_t, double, const State&, Psj::LocalReduceCtx&) {});
+  psj.set_local_convergence([](const State&, const State&, uint32_t) { return true; });
   psj.set_greduce([](const uint32_t& k, const std::vector<double>& vs,
                      mr::ReduceContext<uint32_t, double>& ctx) {
-    ctx.Emit(k, vs[0]);
+    double sum = 0;
+    for (double v : vs) sum += v;
+    ctx.Emit(k, sum);
   });
   auto out = psj.RunGlobalIteration(std::vector<mr::SplitDesc>(2));
   std::map<uint32_t, double> got(out.records.begin(), out.records.end());
@@ -387,27 +312,21 @@ TEST(PartialSyncJob, GmapTimeScaleShortensJobs) {
   auto run = [](double scale) {
     cluster::SimCluster sim(QuietSpec());
     std::vector<std::vector<uint32_t>> parts{{1}};
-    PartialSyncJob<uint32_t, uint32_t, double>::Config config;
+    Psj::Config config;
     config.job.num_reducers = 1;
     config.job.write_output_to_dfs = false;
     config.gmap_time_scale = scale;
-    PartialSyncJob<uint32_t, uint32_t, double> psj(sim, config);
+    Psj psj(sim, config);
     psj.set_partition_data(
         [&parts](uint32_t p) { return std::span<const uint32_t>(parts[p]); });
-    psj.set_init_state([](uint32_t) { return LocalState<uint32_t, double>{}; });
-    psj.set_lmap([](const uint32_t& x, const LocalState<uint32_t, double>&,
-                    LocalIntermediate<uint32_t, double>& out) {
+    psj.set_init_state([](uint32_t) { return State(2, 0.0); });
+    psj.set_lmap([](const uint32_t& x, const State&, Psj::Intermediate& out) {
       out.AddOps(400'000'000);  // 20 virtual seconds at 5e-8 s/op
       out.EmitLocalIntermediate(x, 1.0);
     });
-    psj.set_lreduce([](const uint32_t& k, const std::vector<double>& vs,
-                       const LocalState<uint32_t, double>&,
-                       LocalReduceContext<uint32_t, double>& ctx) {
-      ctx.EmitLocal(k, vs[0]);
-    });
-    psj.set_local_convergence([](const LocalState<uint32_t, double>&,
-                                 const LocalState<uint32_t, double>&,
-                                 uint32_t) { return true; });
+    psj.set_lreduce([](uint32_t, uint32_t k, double v, const State&,
+                       Psj::LocalReduceCtx& ctx) { ctx.EmitLocal(k, v); });
+    psj.set_local_convergence([](const State&, const State&, uint32_t) { return true; });
     psj.set_greduce([](const uint32_t& k, const std::vector<double>& vs,
                        mr::ReduceContext<uint32_t, double>& ctx) {
       ctx.Emit(k, vs[0]);
