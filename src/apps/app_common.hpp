@@ -98,7 +98,9 @@ core::RunTrace AsyncRunTrace(const std::string& name,
 ///    graph is weighted). The runs come from a stable sort of the
 ///    source-major cut-edge list by target, so each run lists its sources in
 ///    CSR order;
-///  * in_peers, the partitions with an out-group toward this one, ascending.
+///  * in_peers, the partitions with an out-group toward this one, ascending;
+///    their groups' targets are the receive domains of the partition's
+///    StateStore (InTargets).
 struct BoundaryPlan {
   /// Targets per pull slice: enough independent add chains to hide the
   /// floating-point add latency.
@@ -207,6 +209,18 @@ struct BoundaryPlan {
         }
       }
     }
+  }
+
+  /// The receive domains of partition p's StateStore, parallel to
+  /// parts[p].in_peers: for each in-peer q, the targets of q's out-group
+  /// toward p, ascending. Every boundary update q sends p is keyed by one.
+  std::vector<std::vector<graph::VertexId>> InTargets(uint32_t p) const {
+    std::vector<std::vector<graph::VertexId>> domains;
+    domains.reserve(parts[p].in_peers.size());
+    for (uint32_t q : parts[p].in_peers) {
+      domains.push_back(parts[q].out[parts[q].GroupTo(p)].targets);
+    }
+    return domains;
   }
 
   /// local_of[v], checked: v must be a member of partition p (a boundary

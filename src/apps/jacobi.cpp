@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "apps/app_common.hpp"
+#include "async/state_store.hpp"
 #include "core/partial_sync_job.hpp"
 #include "mr/job.hpp"
 
@@ -286,7 +287,7 @@ JacobiResult AsyncJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
     }
     part.x.assign(members.size(), 0.0);
     part.ext.values.assign(members.size(), 0.0);
-    part.store = async::StateStore<double>(plan.parts[p].in_peers);
+    part.store = async::StateStore<double>(plan.parts[p].in_peers, plan.InTargets(p));
   }
 
   async::AsyncConfig engine_config;

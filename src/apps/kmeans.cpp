@@ -4,8 +4,10 @@
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <numeric>
 
 #include "apps/app_common.hpp"
+#include "async/state_store.hpp"
 #include "common/rng.hpp"
 #include "core/partial_sync_job.hpp"
 #include "mr/job.hpp"
@@ -445,6 +447,9 @@ KMeansResult AsyncKMeans(cluster::SimCluster& cluster, const Dataset& data,
   const auto point_parts = SplitPoints(order, num_parts);
 
   const std::vector<double> initial = InitialCentroids(data, k, config.seed);
+  // Every peer's partials are keyed by centroid id.
+  std::vector<uint32_t> centroid_ids(k);
+  std::iota(centroid_ids.begin(), centroid_ids.end(), 0u);
   std::vector<AsyncKmPartition> parts(num_parts);
   for (uint32_t p = 0; p < num_parts; ++p) {
     AsyncKmPartition& part = parts[p];
@@ -459,7 +464,8 @@ KMeansResult AsyncKMeans(cluster::SimCluster& cluster, const Dataset& data,
     for (uint32_t q = 0; q < num_parts; ++q) {
       if (q != p) peers.push_back(q);
     }
-    part.store = async::StateStore<KmPartialUpdate>(std::move(peers));
+    std::vector<std::vector<uint32_t>> domains(peers.size(), centroid_ids);
+    part.store = async::StateStore<KmPartialUpdate>(std::move(peers), std::move(domains));
   }
 
   async::AsyncConfig engine_config;

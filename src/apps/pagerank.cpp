@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "apps/app_common.hpp"
+#include "async/state_store.hpp"
 #include "core/partial_sync_job.hpp"
 #include "mr/job.hpp"
 
@@ -275,7 +276,7 @@ PageRankResult AsyncPageRank(cluster::SimCluster& cluster, const graph::Digraph&
     }
     part.ranks.assign(members.size(), 1.0);
     part.ext.values.assign(members.size(), 0.0);
-    part.store = async::StateStore<double>(plan.parts[p].in_peers);
+    part.store = async::StateStore<double>(plan.parts[p].in_peers, plan.InTargets(p));
   }
 
   // Seed external contributions from the initial all-ones ranks so iteration

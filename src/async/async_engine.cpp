@@ -213,7 +213,7 @@ void AsyncEngine::BeginCompute(uint32_t p, uint32_t epoch,
 
   // The real work runs exactly once, now; its virtual duration is charged
   // from the same cost model as wave tasks. Emissions accumulate in the
-  // worker's reused per-peer buffers (cleared here, capacity kept).
+  // worker's per-peer buffers, cleared here (FinishCompute sized them).
   for (UpdateBatch& b : w.out) b.clear();
   AsyncContext ctx;
   ctx.partition_ = p;
@@ -284,19 +284,19 @@ void AsyncEngine::FinishCompute(uint32_t p, uint32_t epoch, uint64_t ops,
   // send order — and thus the DES trace — is deterministic, ascending by
   // peer as before). Each non-empty batch is moved, not copied, into its
   // network payload (or merged into the edge's pending batch when
-  // coalescing); the emptied slots are reused next iteration.
+  // coalescing); its slot then reserves the moved batch's size, so the next
+  // iteration's emissions append without regrowing from empty.
   const uint32_t clock = w.iterations;
   const std::vector<uint32_t>& peers = send_peers_[p];
-  if (config_.staleness_bound != kUnboundedStaleness) {
-    // Bounded window: every peer edge carries the new clock each iteration,
-    // with an empty batch when there is no payload.
-    for (size_t i = 0; i < peers.size(); ++i) {
-      EmitBatch(p, i, std::move(w.out[i]), clock);
-    }
-  } else {
-    for (size_t i = 0; i < peers.size(); ++i) {
-      if (!w.out[i].empty()) EmitBatch(p, i, std::move(w.out[i]), clock);
-    }
+  // Bounded window: every peer edge carries the new clock each iteration,
+  // with an empty batch when there is no payload.
+  const bool send_empty = config_.staleness_bound != kUnboundedStaleness;
+  for (size_t i = 0; i < peers.size(); ++i) {
+    UpdateBatch& out = w.out[i];
+    if (out.empty() && !send_empty) continue;
+    const size_t bytes = out.payload.size();
+    EmitBatch(p, i, std::move(out), clock);
+    out.payload.reserve(bytes);
   }
 
   if (snapshot_ && config_.tuning.checkpoint_interval > 0 &&

@@ -70,8 +70,8 @@
 #include <vector>
 
 #include "async/checkpoint.hpp"
+#include "async/clock_table.hpp"
 #include "async/progress.hpp"
-#include "async/state_store.hpp"
 #include "cluster/cluster.hpp"
 #include "common/stats.hpp"
 #include "obs/obs.hpp"
@@ -476,9 +476,9 @@ class AsyncEngine {
   /// sends to) lost its in-memory state and resumed from a checkpoint: the
   /// app must force its delta filter TOWARD that peer so the next iteration
   /// re-announces every boundary key (the peer's restored view of this
-  /// partition is stale). Apps whose re-announcement cannot cover every key
-  /// can additionally drop the peer's dead-epoch state with
-  /// StateStore::DropPeer. The engine schedules the forced iteration itself.
+  /// partition is stale). The re-announced records carry the sender's
+  /// current epoch and clock, so StateStore::Put accepts them over whatever
+  /// the peer restored. The engine schedules the forced iteration itself.
   using PeerRestartFn =
       std::function<void(uint32_t partition, uint32_t restarted_peer)>;
 
@@ -533,8 +533,9 @@ class AsyncEngine {
     double blocked_since = 0.0;
     bool keepalive = false;  // the running iteration is clock-advance only
     /// Per-out-peer emission buffers, index-aligned with send_peers_[p].
-    /// Cleared (capacity kept) at BeginCompute, filled via AsyncContext, and
-    /// moved into network payloads at FinishCompute.
+    /// Cleared at BeginCompute, filled via AsyncContext, and moved into
+    /// network payloads at FinishCompute, which reserves each moved batch's
+    /// size in its slot for the next iteration.
     std::vector<UpdateBatch> out;
     /// Per-out-peer coalescing state (coalesce_batches only), index-aligned
     /// with send_peers_[p]: one flow in flight per edge at most, subsequent

@@ -1,20 +1,16 @@
-// Versioned state for the barrier-free asynchronous engine.
+// Versioned receive state for the barrier-free asynchronous engine.
 //
-// Two pieces:
-//  * ClockTable — tracks, per peer partition, the highest iteration count
-//    ("clock") observed from that peer, and answers the bounded-staleness
-//    admission question: may a worker start its k-th iteration yet?
-//  * StateStore<V> — a ClockTable plus per-peer versioned key/value views.
-//    Put() records a peer's value for a key at the sender's iteration clock
-//    and returns the value it replaces, so applications can maintain
-//    aggregates (sums, mins) incrementally as entries are overwritten. The
-//    clock guards against out-of-order delivery: the fluid network model
-//    completes flows by remaining bytes, so a sender's later (smaller) batch
-//    can land before an earlier large one — for replacement semantics the
-//    late stale record must be rejected, or it would overwrite the fresher
-//    value and the sender's delta filter would never repair it.
+// StateStore<V> is a ClockTable (clock_table.hpp) plus one versioned
+// key/value view per in-peer. Put() records a peer's value for a key at the
+// sender's iteration clock and returns the value it replaces, so
+// applications can maintain aggregates (sums, mins) incrementally as entries
+// are overwritten. The clock guards against out-of-order delivery: the fluid
+// network model completes flows by remaining bytes, so a sender's later
+// (smaller) batch can land before an earlier large one — for replacement
+// semantics the late stale record must be rejected, or it would overwrite
+// the fresher value and the sender's delta filter would never repair it.
 //
-// Both carry an *epoch* alongside the clock for checkpoint/replay fault
+// Each record also carries the sender's *epoch* for checkpoint/replay fault
 // tolerance: a worker that crashes restarts from its last checkpoint with a
 // bumped epoch and an iteration clock that rolled BACK, so its re-sent
 // records carry (newer epoch, lower clock). Versions compare
@@ -23,32 +19,30 @@
 // stale — while a record from a dead epoch is rejected even if its clock is
 // higher, because the sender's post-restart trajectory supersedes it.
 //
-// Staleness semantics (SSP-style): with bound S, a worker may start its k-th
-// iteration (1-based) only once every tracked peer has completed at least
-// k - 1 - S iterations. The gate bounds *lag*, not *lead*: iteration k is
-// guaranteed to see every peer's k-1-S updates, but fresher updates that
-// happen to have arrived are visible too (the usual SSP contract). S = 0
-// therefore gives synchronized rounds — no worker computes on state older
-// than the previous round — which is the barrier-strength A/B baseline for
-// the asynchronous modes. S = kUnboundedStaleness disables the gate entirely
-// (pure asynchrony).
+// Layout: every in-peer sends a fixed set of keys, known before the run (a
+// graph app's out-group targets, K-Means' centroid ids). Each view holds
+// that *receive domain* as an ascending key list and, parallel to it, one
+// dense slot per key plus a presence flag; nothing is hashed. One emission
+// arrives in ascending key order and a coalesced batch is several such runs
+// joined, so Put() finds its slot with a per-view cursor: it walks forward
+// from the last slot it found, and restarts from the front when a key is
+// smaller than the cursor's. A run over a view costs O(domain) in all, not
+// O(log domain) per record. SnapshotTo() walks the slots in key order and
+// skips absent ones, so the image is the sorted (key, clock, epoch, value)
+// list with no sort.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "async/clock_table.hpp"
 #include "common/check.hpp"
 #include "serde/serde.hpp"
 
 namespace asyncmr::async {
-
-/// Staleness bound meaning "no bound": workers never wait for peers.
-inline constexpr uint32_t kUnboundedStaleness =
-    std::numeric_limits<uint32_t>::max();
 
 /// Version-monotonicity contract for an applied StateStore write: a write
 /// that replaces a stored entry must carry a version that is not older than
@@ -66,118 +60,6 @@ inline void AuditVersionAdvance(uint32_t prev_epoch, uint32_t prev_clock,
       << ", clock " << prev_clock << ") replaced by (epoch " << epoch
       << ", clock " << clock << ")";
 }
-
-class ClockTable {
- public:
-  ClockTable() = default;
-  explicit ClockTable(std::vector<uint32_t> peers)
-      : peers_(std::move(peers)), clocks_(peers_.size(), 0) {
-    uint32_t max_peer = 0;
-    for (uint32_t p : peers_) max_peer = std::max(max_peer, p);
-    // Peer -> index lookup replaces the old linear scan per observation
-    // (which made all-to-all rounds quadratic per partition). When the peer
-    // id space is dense (the all-to-all case) a direct table gives O(1) at
-    // memory proportional to the peer list itself; for sparse topologies at
-    // large P a dense table would cost O(max peer id) per partition, so fall
-    // back to binary search over a sorted copy — O(log d), O(d) memory.
-    if (!peers_.empty() &&
-        static_cast<size_t>(max_peer) < 4 * peers_.size() + 64) {
-      index_of_.assign(static_cast<size_t>(max_peer) + 1, kNotAPeer);
-      for (size_t i = 0; i < peers_.size(); ++i) {
-        AMR_CHECK(index_of_[peers_[i]] == kNotAPeer)
-            << "duplicate peer partition " << peers_[i];
-        index_of_[peers_[i]] = static_cast<uint32_t>(i);
-      }
-    } else {
-      sorted_.reserve(peers_.size());
-      for (size_t i = 0; i < peers_.size(); ++i) {
-        sorted_.emplace_back(peers_[i], static_cast<uint32_t>(i));
-      }
-      std::sort(sorted_.begin(), sorted_.end());
-      for (size_t i = 1; i < sorted_.size(); ++i) {
-        AMR_CHECK(sorted_[i - 1].first != sorted_[i].first)
-            << "duplicate peer partition " << sorted_[i].first;
-      }
-    }
-  }
-
-  /// Records that `peer` has completed `clock` iterations (monotone).
-  /// Returns true if the observation advanced the peer's clock.
-  bool Observe(uint32_t peer, uint32_t clock) {
-    const size_t i = IndexOf(peer);
-    if (clock <= clocks_[i]) return false;
-    clocks_[i] = clock;
-    return true;
-  }
-
-  /// Forcibly sets `peer`'s clock, allowing a decrease: a crashed peer
-  /// resumed from a checkpoint at a lower iteration clock, and the staleness
-  /// gate must see the rollback or it would admit iterations the SSP lag
-  /// bound no longer justifies against that peer.
-  void Reset(uint32_t peer, uint32_t clock) { clocks_[IndexOf(peer)] = clock; }
-
-  /// Observed clocks, parallel to peers() — the mutable slice of this table,
-  /// captured into worker checkpoints.
-  const std::vector<uint32_t>& clock_values() const { return clocks_; }
-
-  /// Restores the observed clocks from a checkpoint (peer list must match).
-  void RestoreClockValues(const std::vector<uint32_t>& values) {
-    AMR_CHECK_EQ(values.size(), clocks_.size());
-    clocks_ = values;
-  }
-
-  uint32_t clock_of(uint32_t peer) const { return clocks_[IndexOf(peer)]; }
-
-  /// Minimum observed clock; max uint32 when no peers are tracked.
-  uint32_t min_clock() const {
-    uint32_t m = std::numeric_limits<uint32_t>::max();
-    for (uint32_t c : clocks_) m = std::min(m, c);
-    return m;
-  }
-
-  /// Maximum observed clock; 0 when no peers are tracked.
-  uint32_t max_clock() const {
-    uint32_t m = 0;
-    for (uint32_t c : clocks_) m = std::max(m, c);
-    return m;
-  }
-
-  /// Bounded-staleness gate for starting the `iteration`-th (1-based)
-  /// iteration under bound `staleness` (see file comment).
-  bool AdmitsIteration(uint32_t iteration, uint32_t staleness) const {
-    if (staleness == kUnboundedStaleness || peers_.empty()) return true;
-    const int64_t need =
-        static_cast<int64_t>(iteration) - 1 - static_cast<int64_t>(staleness);
-    if (need <= 0) return true;
-    return static_cast<int64_t>(min_clock()) >= need;
-  }
-
-  const std::vector<uint32_t>& peers() const { return peers_; }
-
-  /// Index of `peer` in peers() — O(1) dense / O(log d) sparse; checks
-  /// membership.
-  size_t IndexOf(uint32_t peer) const {
-    if (!index_of_.empty()) {
-      AMR_CHECK(peer < index_of_.size() && index_of_[peer] != kNotAPeer)
-          << "unknown peer partition " << peer;
-      return index_of_[peer];
-    }
-    const auto it = std::lower_bound(
-        sorted_.begin(), sorted_.end(),
-        std::pair<uint32_t, uint32_t>{peer, 0});
-    AMR_CHECK(it != sorted_.end() && it->first == peer)
-        << "unknown peer partition " << peer;
-    return it->second;
-  }
-
- private:
-  static constexpr uint32_t kNotAPeer = std::numeric_limits<uint32_t>::max();
-
-  std::vector<uint32_t> peers_;
-  std::vector<uint32_t> clocks_;    // parallel to peers_
-  std::vector<uint32_t> index_of_;  // dense: peer id -> index (empty if sparse)
-  std::vector<std::pair<uint32_t, uint32_t>> sorted_;  // sparse: (peer, index)
-};
 
 template <typename V>
 class StateStore {
@@ -200,49 +82,66 @@ class StateStore {
   };
 
   StateStore() = default;
-  explicit StateStore(std::vector<uint32_t> peers)
-      : clocks_(std::move(peers)), views_(clocks_.peers().size()) {}
+  /// domains[i] is the receive domain of peers[i]: every key that peer may
+  /// send, strictly ascending.
+  StateStore(std::vector<uint32_t> peers, std::vector<std::vector<Key>> domains)
+      : clocks_(std::move(peers)) {
+    AMR_CHECK_EQ(domains.size(), clocks_.peers().size());
+    views_.reserve(domains.size());
+    for (size_t i = 0; i < domains.size(); ++i) {
+      std::vector<Key>& keys = domains[i];
+      AMR_CHECK(std::adjacent_find(keys.begin(), keys.end(), [](Key a, Key b) {
+                  return a >= b;
+                }) == keys.end())
+          << "receive domain of peer " << clocks_.peers()[i]
+          << " is not strictly ascending";
+      View& view = views_.emplace_back();
+      view.entries.resize(keys.size());
+      view.present.assign(keys.size(), 0);
+      view.keys = std::move(keys);
+    }
+  }
 
   /// Records `value` as peer `from`'s state for `key`, produced at the
   /// sender's iteration `clock` in its incarnation `epoch`. Versions order
   /// lexicographically by (epoch, clock): a write older than the stored
   /// entry's version is rejected (see file comment); an equal version is
   /// accepted (idempotent redelivery), and a newer epoch is accepted even at
-  /// a lower clock (the sender restarted from a checkpoint).
+  /// a lower clock (the sender restarted from a checkpoint). A key outside
+  /// `from`'s receive domain is a bug.
   PutResult Put(uint32_t from, Key key, V value, uint32_t clock,
                 uint32_t epoch = 0) {
-    auto& view = views_[clocks_.IndexOf(from)];
+    View& view = views_[clocks_.IndexOf(from)];
+    const size_t s = view.Locate(key);
+    AMR_CHECK(s < view.keys.size())
+        << "key " << key << " is outside peer " << from << "'s receive domain";
+    Entry& entry = view.entries[s];
     PutResult result;
-    const auto it = view.find(key);
-    if (it == view.end()) {
-      view.emplace(key, Entry{std::move(value), clock, epoch});
+    if (view.present[s] == 0) {
+      view.present[s] = 1;
+      ++view.count;
+      entry = Entry{std::move(value), clock, epoch};
       result.applied = true;
       return result;
     }
-    if (epoch < it->second.epoch ||
-        (epoch == it->second.epoch && clock < it->second.clock)) {
+    if (epoch < entry.epoch || (epoch == entry.epoch && clock < entry.clock)) {
       return result;  // stale delivery (out-of-order or dead-epoch)
     }
-    AMR_IF_AUDIT(
-        AuditVersionAdvance(it->second.epoch, it->second.clock, epoch, clock);)
+    AMR_IF_AUDIT(AuditVersionAdvance(entry.epoch, entry.clock, epoch, clock);)
     result.applied = true;
-    result.replaced = std::move(it->second.value);
-    it->second.value = std::move(value);
-    it->second.clock = clock;
-    it->second.epoch = epoch;
+    result.replaced = std::move(entry.value);
+    entry = Entry{std::move(value), clock, epoch};
     return result;
   }
 
-  /// Removes every entry stored from `from`, calling fn(key, value) per
-  /// removed entry so callers can unwind incremental aggregates. Used when
-  /// `from` restarts: its stored state belongs to a dead epoch, and its
-  /// replacement re-announces from its restored checkpoint.
-  template <typename Fn>
-  void DropPeer(uint32_t from, Fn&& fn) {
-    auto& view = views_[clocks_.IndexOf(from)];
-    // Unwinds commutative aggregates, so visit order is immaterial.
-    for (auto& [key, entry] : view) fn(key, entry.value);  // lint:order-insensitive
-    view.clear();
+  /// The entry stored from `from` for `key`; nullptr when absent or outside
+  /// the receive domain.
+  const Entry* Find(uint32_t from, Key key) const {
+    const View& view = views_[clocks_.IndexOf(from)];
+    const auto it = std::lower_bound(view.keys.begin(), view.keys.end(), key);
+    if (it == view.keys.end() || *it != key) return nullptr;
+    const auto s = static_cast<size_t>(it - view.keys.begin());
+    return view.present[s] != 0 ? &view.entries[s] : nullptr;
   }
 
   void ObserveClock(uint32_t from, uint32_t clock) { clocks_.Observe(from, clock); }
@@ -253,33 +152,23 @@ class StateStore {
 
   const ClockTable& clocks() const { return clocks_; }
 
-  const std::unordered_map<Key, Entry>& view(uint32_t from) const {
-    return views_[clocks_.IndexOf(from)];
-  }
-
   size_t total_entries() const {
     size_t n = 0;
-    for (const auto& view : views_) n += view.size();
+    for (const View& view : views_) n += view.count;
     return n;
   }
 
   /// Serializes the mutable state (observed clocks + every per-peer view)
-  /// into a worker checkpoint. Entries are written in sorted key order so
-  /// the byte image — and thus the charged checkpoint size — is independent
-  /// of hash-map layout. Requires Serde<V>.
+  /// into a worker checkpoint: per view its entry count, then its present
+  /// entries in ascending key order. Requires Serde<V>.
   void SnapshotTo(serde::Writer& w) const {
     serde::Serde<std::vector<uint32_t>>::Write(w, clocks_.clock_values());
-    std::vector<Key> keys;
-    for (const auto& view : views_) {
-      w.WriteVarU64(view.size());
-      keys.clear();
-      keys.reserve(view.size());
-      // Keys are sorted before any byte is written, so layout cannot leak.
-      for (const auto& [key, entry] : view) keys.push_back(key);  // lint:order-insensitive
-      std::sort(keys.begin(), keys.end());
-      for (Key key : keys) {
-        const Entry& entry = view.at(key);
-        w.WriteVarU64(key);
+    for (const View& view : views_) {
+      w.WriteVarU64(view.count);
+      for (size_t s = 0; s < view.keys.size(); ++s) {
+        if (view.present[s] == 0) continue;
+        const Entry& entry = view.entries[s];
+        w.WriteVarU64(view.keys[s]);
         w.WriteVarU64(entry.clock);
         w.WriteVarU64(entry.epoch);
         serde::Serde<V>::Write(w, entry.value);
@@ -287,8 +176,9 @@ class StateStore {
     }
   }
 
-  /// Restores the state written by SnapshotTo (the peer list is structural
-  /// and must already match).
+  /// Restores the state written by SnapshotTo (the peer list and receive
+  /// domains are structural and must already match). A key outside its
+  /// view's domain, or one written twice, is DataLoss.
   Status RestoreFrom(serde::Reader& r) {
     std::vector<uint32_t> clock_values;
     AMR_RETURN_IF_ERROR(
@@ -297,29 +187,59 @@ class StateStore {
       return Status::DataLoss("state-store checkpoint peer count mismatch");
     }
     clocks_.RestoreClockValues(clock_values);
-    for (auto& view : views_) {
+    for (View& view : views_) {
       uint64_t n = 0;
       AMR_RETURN_IF_ERROR(r.ReadVarU64(n));
-      view.clear();
-      view.reserve(static_cast<size_t>(n));
+      std::fill(view.present.begin(), view.present.end(), 0);
+      view.count = 0;
       for (uint64_t i = 0; i < n; ++i) {
         uint64_t key = 0, clock = 0, epoch = 0;
         AMR_RETURN_IF_ERROR(r.ReadVarU64(key));
         AMR_RETURN_IF_ERROR(r.ReadVarU64(clock));
         AMR_RETURN_IF_ERROR(r.ReadVarU64(epoch));
-        Entry entry;
+        const size_t s = key <= std::numeric_limits<Key>::max()
+                             ? view.Locate(static_cast<Key>(key))
+                             : view.keys.size();
+        if (s == view.keys.size()) {
+          return Status::DataLoss("state-store checkpoint key outside the receive domain");
+        }
+        if (view.present[s] != 0) {
+          return Status::DataLoss("state-store checkpoint repeats a key");
+        }
+        Entry& entry = view.entries[s];
         entry.clock = static_cast<uint32_t>(clock);
         entry.epoch = static_cast<uint32_t>(epoch);
         AMR_RETURN_IF_ERROR(serde::Serde<V>::Read(r, entry.value));
-        view.emplace(static_cast<Key>(key), std::move(entry));
+        view.present[s] = 1;
+        ++view.count;
       }
     }
     return Status::Ok();
   }
 
  private:
+  /// One in-peer's entries: a slot per key of its receive domain.
+  struct View {
+    std::vector<Key> keys;         // the receive domain, ascending
+    std::vector<Entry> entries;    // parallel to keys
+    std::vector<uint8_t> present;  // parallel to keys: 1 when entries[s] is set
+    size_t count = 0;              // present slots
+    size_t cursor = 0;             // the slot Locate last found
+
+    /// The slot of key, or keys.size() when key is outside the domain; walks
+    /// from the cursor (see file comment).
+    size_t Locate(Key key) {
+      size_t s = cursor;
+      if (s >= keys.size() || key < keys[s]) s = 0;  // a new ascending run
+      while (s < keys.size() && keys[s] < key) ++s;
+      if (s == keys.size() || keys[s] != key) return keys.size();
+      cursor = s;
+      return s;
+    }
+  };
+
   ClockTable clocks_;
-  std::vector<std::unordered_map<Key, Entry>> views_;  // parallel to clocks_.peers()
+  std::vector<View> views_;  // parallel to clocks_.peers()
 };
 
 }  // namespace asyncmr::async

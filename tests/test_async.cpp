@@ -89,7 +89,7 @@ TEST(ClockTable, SparsePeerIdSpaceUsesOrderedLookup) {
 }
 
 TEST(StateStore, PutReturnsReplacedValue) {
-  async::StateStore<double> store({0, 1});
+  async::StateStore<double> store({0, 1}, {{7, 42}, {42}});
   const auto first = store.Put(0, 42, 1.5, /*clock=*/1);
   EXPECT_TRUE(first.applied);
   EXPECT_EQ(first.replaced, std::nullopt);
@@ -98,7 +98,9 @@ TEST(StateStore, PutReturnsReplacedValue) {
   EXPECT_EQ(second.replaced, std::optional<double>(1.5));
   EXPECT_EQ(store.Put(1, 42, 9.0, /*clock=*/1).replaced,
             std::nullopt);  // per-peer views
-  EXPECT_EQ(store.view(0).at(42).value, 2.5);
+  EXPECT_EQ(store.Find(0, 42)->value, 2.5);
+  EXPECT_EQ(store.Find(0, 7), nullptr);   // in the domain, never put
+  EXPECT_EQ(store.Find(0, 99), nullptr);  // outside the domain
   EXPECT_EQ(store.total_entries(), 2u);
 }
 
@@ -109,37 +111,26 @@ TEST(StateStore, EpochAwareVersioningForRestartedSenders) {
   // from its dead epoch (in flight at the crash) must be rejected even with
   // a HIGHER clock: the restarted trajectory supersedes them, and the reborn
   // delta filter could never repair an overwrite it does not know about.
-  async::StateStore<double> store({0});
+  async::StateStore<double> store({0}, {{7}});
   EXPECT_TRUE(store.Put(0, 7, 1.0, /*clock=*/9, /*epoch=*/0).applied);
   // Restarted sender: epoch 1, clock rolled back to 3.
   const auto reborn = store.Put(0, 7, 2.0, /*clock=*/3, /*epoch=*/1);
   EXPECT_TRUE(reborn.applied);
   EXPECT_EQ(reborn.replaced, std::optional<double>(1.0));
-  EXPECT_EQ(store.view(0).at(7).epoch, 1u);
-  EXPECT_EQ(store.view(0).at(7).clock, 3u);
+  EXPECT_EQ(store.Find(0, 7)->epoch, 1u);
+  EXPECT_EQ(store.Find(0, 7)->clock, 3u);
   // Dead-epoch straggler with a high clock: rejected.
   const auto stale = store.Put(0, 7, 9.0, /*clock=*/42, /*epoch=*/0);
   EXPECT_FALSE(stale.applied);
-  EXPECT_EQ(store.view(0).at(7).value, 2.0);
+  EXPECT_EQ(store.Find(0, 7)->value, 2.0);
   // Within the new epoch the clock guard works as before.
   EXPECT_FALSE(store.Put(0, 7, 9.0, /*clock=*/2, /*epoch=*/1).applied);
   EXPECT_TRUE(store.Put(0, 7, 4.0, /*clock=*/4, /*epoch=*/1).applied);
 }
 
-TEST(StateStore, DropPeerUnwindsEntries) {
-  async::StateStore<double> store({3, 8});
-  store.Put(3, 1, 0.5, 1);
-  store.Put(3, 2, 1.5, 1);
-  store.Put(8, 1, 7.0, 1);
-  double dropped = 0.0;
-  store.DropPeer(3, [&](uint32_t /*key*/, double value) { dropped += value; });
-  EXPECT_EQ(dropped, 2.0);
-  EXPECT_EQ(store.view(3).size(), 0u);
-  EXPECT_EQ(store.view(8).size(), 1u);  // other peers untouched
-}
-
 TEST(StateStore, SnapshotRestoreRoundTrip) {
-  async::StateStore<double> store({2, 5});
+  const std::vector<std::vector<uint32_t>> domains = {{10, 11, 99}, {10}};
+  async::StateStore<double> store({2, 5}, domains);
   store.Put(2, 10, 1.25, /*clock=*/3, /*epoch=*/1);
   store.Put(2, 11, -4.0, /*clock=*/2);
   store.Put(5, 10, 9.5, /*clock=*/7);
@@ -149,18 +140,18 @@ TEST(StateStore, SnapshotRestoreRoundTrip) {
   serde::Writer w(buf);
   store.SnapshotTo(w);
 
-  async::StateStore<double> restored({2, 5});
+  async::StateStore<double> restored({2, 5}, domains);
   restored.Put(2, 99, 123.0, 1);  // overwritten state must not survive
   serde::Reader r(buf);
   ASSERT_TRUE(restored.RestoreFrom(r).ok());
   EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(restored.total_entries(), 3u);
-  EXPECT_EQ(restored.view(2).at(10).value, 1.25);
-  EXPECT_EQ(restored.view(2).at(10).epoch, 1u);
-  EXPECT_EQ(restored.view(2).at(11).clock, 2u);
-  EXPECT_EQ(restored.view(5).at(10).value, 9.5);
+  EXPECT_EQ(restored.Find(2, 10)->value, 1.25);
+  EXPECT_EQ(restored.Find(2, 10)->epoch, 1u);
+  EXPECT_EQ(restored.Find(2, 11)->clock, 2u);
+  EXPECT_EQ(restored.Find(5, 10)->value, 9.5);
   EXPECT_EQ(restored.clocks().clock_of(5), 7u);
-  EXPECT_EQ(restored.view(2).count(99), 0u);
+  EXPECT_EQ(restored.Find(2, 99), nullptr);
 }
 
 TEST(StateStore, RejectsStaleOutOfOrderWrites) {
@@ -169,17 +160,86 @@ TEST(StateStore, RejectsStaleOutOfOrderWrites) {
   // semantics must not roll a key back when the stale batch finally arrives —
   // the sender's delta filter believes the fresh value is in place and would
   // never repair the overwrite.
-  async::StateStore<double> store({0});
+  async::StateStore<double> store({0}, {{7}});
   EXPECT_TRUE(store.Put(0, 7, 1.0, /*clock=*/1).applied);
   EXPECT_TRUE(store.Put(0, 7, 3.0, /*clock=*/3).applied);
   const auto stale = store.Put(0, 7, 2.0, /*clock=*/2);
   EXPECT_FALSE(stale.applied);
   EXPECT_EQ(stale.replaced, std::nullopt);
-  EXPECT_EQ(store.view(0).at(7).value, 3.0);
-  EXPECT_EQ(store.view(0).at(7).clock, 3u);
+  EXPECT_EQ(store.Find(0, 7)->value, 3.0);
+  EXPECT_EQ(store.Find(0, 7)->clock, 3u);
   // Equal clocks (idempotent redelivery) are accepted.
   EXPECT_TRUE(store.Put(0, 7, 3.5, /*clock=*/3).applied);
-  EXPECT_EQ(store.view(0).at(7).value, 3.5);
+  EXPECT_EQ(store.Find(0, 7)->value, 3.5);
+}
+
+TEST(StateStore, SnapshotBytesMatchTheSortedKeyImage) {
+  // Checkpoint bytes set the virtual DFS write time, so the image is pinned:
+  // these are the bytes the hash-map store (one unordered_map per peer, keys
+  // sorted at snapshot) wrote for the same calls. Absent slots (key 3 of
+  // peer 2, key 10 of peer 5, all of peer 9) write nothing, and an
+  // equal-version redelivery replaces the value in place.
+  async::StateStore<double> store({2, 5, 9}, {{3, 10, 11, 40, 300}, {10, 20}, {1}});
+  store.Put(2, 40, 0.5, 1);
+  store.Put(2, 10, 1.25, 3, /*epoch=*/1);
+  store.Put(2, 11, -4.0, 2);
+  store.Put(2, 300, 2.0, 4);
+  EXPECT_TRUE(store.Put(2, 11, -4.5, 2).applied);  // equal-version redelivery
+  store.Put(5, 20, 9.5, 7);
+  store.ObserveClock(5, 7);
+  store.ObserveClock(2, 4);
+
+  serde::Buffer buf;
+  serde::Writer w(buf);
+  store.SnapshotTo(w);
+  const std::vector<uint8_t> golden = {
+      0x03, 0x04, 0x07, 0x00, 0x04, 0x0a, 0x03, 0x01, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0xf4, 0x3f, 0x0b, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x12, 0xc0, 0x28, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0xe0, 0x3f, 0xac, 0x02, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x40, 0x01, 0x14, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x23, 0x40, 0x00};
+  EXPECT_EQ(std::vector<uint8_t>(buf.view().begin(), buf.view().end()), golden);
+}
+
+TEST(StateStore, CoalescedBatchOfTwoAscendingRunsRestartsTheCursor) {
+  // Coalescing joins a sender's emissions: 20, 30, 50 then 10, 30. Each run
+  // ascends; the second starts below the cursor, so lookup restarts from the
+  // front and still lands every key in its own slot.
+  async::StateStore<double> store({4}, {{10, 20, 30, 40, 50}});
+  for (uint32_t key : {20u, 30u, 50u}) {
+    EXPECT_TRUE(store.Put(4, key, key * 1.0, /*clock=*/1).applied);
+  }
+  EXPECT_EQ(store.Put(4, 10, 1.0, /*clock=*/2).replaced, std::nullopt);
+  EXPECT_EQ(store.Put(4, 30, 3.0, /*clock=*/2).replaced, std::optional<double>(30.0));
+  EXPECT_EQ(store.total_entries(), 4u);
+  EXPECT_EQ(store.Find(4, 10)->value, 1.0);
+  EXPECT_EQ(store.Find(4, 20)->value, 20.0);
+  EXPECT_EQ(store.Find(4, 30)->value, 3.0);
+  EXPECT_EQ(store.Find(4, 30)->clock, 2u);
+  EXPECT_EQ(store.Find(4, 40), nullptr);
+  EXPECT_EQ(store.Find(4, 50)->value, 50.0);
+}
+
+TEST(StateStore, RestoreOfAKeyOutsideTheDomainIsDataLoss) {
+  async::StateStore<double> wide({1}, {{5, 6, 7}});
+  wide.Put(1, 5, 0.5, 1);
+  wide.Put(1, 7, 0.7, 1);
+  serde::Buffer buf;
+  serde::Writer w(buf);
+  wide.SnapshotTo(w);
+
+  async::StateStore<double> narrow({1}, {{5, 6}});
+  serde::Reader r(buf);
+  const Status status = narrow.RestoreFrom(r);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+}
+
+TEST(StateStoreDeathTest, PutOutsideTheDomainDies) {
+  async::StateStore<double> store({1}, {{5, 6}});
+  EXPECT_DEATH(store.Put(1, 9, 1.0, 1), "outside peer 1's receive domain");
+  EXPECT_DEATH(store.Put(1, 4, 1.0, 1), "outside peer 1's receive domain");
 }
 
 // --- generalized update payload ----------------------------------------------
