@@ -208,23 +208,22 @@ void PrintBanner(const std::string& title, const BenchOptions& opts) {
               static_cast<unsigned long long>(opts.seed));
 }
 
-void PrintGraphSweep(const std::string& figure_title, const std::string& metric,
+void PrintGraphSweep(const std::string& iterations_title,
+                     const std::string& time_title,
                      const std::vector<GraphSweepRow>& rows,
                      const BenchOptions& opts) {
-  std::printf("%s\n", figure_title.c_str());
-  if (metric == "iterations") {
-    std::printf("%-12s %-10s %-10s\n", "#Partitions", "Eager", "General");
-    for (const auto& row : rows) {
-      std::printf("%-12u %-10u %-10u\n", row.partitions, row.eager_iterations,
-                  row.general_iterations);
-    }
-  } else {
-    std::printf("%-12s %-14s %-14s %-9s\n", "#Partitions", "Eager(s)",
-                "General(s)", "Speedup");
-    for (const auto& row : rows) {
-      std::printf("%-12u %-14.0f %-14.0f %-9.1fx\n", row.partitions,
-                  row.eager_seconds, row.general_seconds, row.speedup());
-    }
+  std::printf("%s\n", iterations_title.c_str());
+  std::printf("%-12s %-10s %-10s\n", "#Partitions", "Eager", "General");
+  for (const auto& row : rows) {
+    std::printf("%-12u %-10u %-10u\n", row.partitions, row.eager_iterations,
+                row.general_iterations);
+  }
+  std::printf("\n%s\n", time_title.c_str());
+  std::printf("%-12s %-14s %-14s %-9s\n", "#Partitions", "Eager(s)", "General(s)",
+              "Speedup");
+  for (const auto& row : rows) {
+    std::printf("%-12u %-14.0f %-14.0f %-9.1fx\n", row.partitions, row.eager_seconds,
+                row.general_seconds, row.speedup());
   }
   // Supporting detail: the tradeoff quantities the paper reasons about.
   std::printf("\ndetail: cut%%, serial ops (eager vs general), partial syncs\n");
@@ -250,23 +249,22 @@ void PrintGraphSweep(const std::string& figure_title, const std::string& metric,
   std::printf("\n");
 }
 
-void PrintKmeansSweep(const std::string& figure_title, const std::string& metric,
+void PrintKmeansSweep(const std::string& iterations_title,
+                      const std::string& time_title,
                       const std::vector<KmeansSweepRow>& rows,
                       const BenchOptions& opts) {
-  std::printf("%s\n", figure_title.c_str());
-  if (metric == "iterations") {
-    std::printf("%-16s %-10s %-10s\n", "Threshold", "Eager", "General");
-    for (const auto& row : rows) {
-      std::printf("%-16g %-10u %-10u\n", row.threshold, row.eager_iterations,
-                  row.general_iterations);
-    }
-  } else {
-    std::printf("%-16s %-14s %-14s %-9s\n", "Threshold", "Eager(s)", "General(s)",
-                "Speedup");
-    for (const auto& row : rows) {
-      std::printf("%-16g %-14.0f %-14.0f %-9.1fx\n", row.threshold,
-                  row.eager_seconds, row.general_seconds, row.speedup());
-    }
+  std::printf("%s\n", iterations_title.c_str());
+  std::printf("%-16s %-10s %-10s\n", "Threshold", "Eager", "General");
+  for (const auto& row : rows) {
+    std::printf("%-16g %-10u %-10u\n", row.threshold, row.eager_iterations,
+                row.general_iterations);
+  }
+  std::printf("\n%s\n", time_title.c_str());
+  std::printf("%-16s %-14s %-14s %-9s\n", "Threshold", "Eager(s)", "General(s)",
+              "Speedup");
+  for (const auto& row : rows) {
+    std::printf("%-16g %-14.0f %-14.0f %-9.1fx\n", row.threshold, row.eager_seconds,
+                row.general_seconds, row.speedup());
   }
   std::printf("\ndetail: clustering quality (SSE, lower is better)\n");
   for (const auto& row : rows) {

@@ -142,13 +142,16 @@ struct KmeansSweepRow {
 /// paper's fixed 52 partitions.
 std::vector<KmeansSweepRow> RunKmeansSweep(const BenchOptions& opts);
 
-/// Pretty-prints the graph sweep as the paper's figure series. `metric`
-/// selects the emphasized column ("iterations" or "time").
-void PrintGraphSweep(const std::string& figure_title, const std::string& metric,
+/// Pretty-prints one graph sweep as the paper's two figure series, iterations
+/// to converge and time to converge, then the supporting detail.
+void PrintGraphSweep(const std::string& iterations_title,
+                     const std::string& time_title,
                      const std::vector<GraphSweepRow>& rows,
                      const BenchOptions& opts);
 
-void PrintKmeansSweep(const std::string& figure_title, const std::string& metric,
+/// The same for one K-Means threshold sweep.
+void PrintKmeansSweep(const std::string& iterations_title,
+                      const std::string& time_title,
                       const std::vector<KmeansSweepRow>& rows,
                       const BenchOptions& opts);
 

@@ -5,11 +5,13 @@
 // Solves A x = b for the diagonally dominant system induced by a graph:
 //     A = D + I - Adj(sym)    (D = symmetrized degree diagonal)
 // i.e. row v:  (deg(v)+1) x[v] - sum_{u ~ v} x[u] = b[v].
-// The Jacobi update x'[v] = (b[v] + sum_{u~v} x[u]) / (deg(v)+1) is an
-// asynchronous-friendly fixed point: the General engine performs one sweep
-// per MapReduce job; the Eager engine iterates each partition's block to
-// local convergence with frozen external values (block-Jacobi) before each
-// global synchronization — the same structure as Eager PageRank.
+// The Jacobi update x'[v] = (b[v] + sum_{u~v} x[u]) / (deg(v)+1) is the same
+// affine fixed point as PageRank's, so all three engines are the affine
+// driver of affine.hpp under Jacobi's rule (d_u = 1, F_v(s) = (b[v] + s) /
+// (deg(v) + 1); see jacobi.cpp): the General engine performs one sweep per
+// MapReduce job; the Eager engine iterates each partition's block to local
+// convergence with frozen external values (block-Jacobi) before each global
+// synchronization; the Async engine does the same without a barrier.
 #pragma once
 
 #include <cstdint>
@@ -62,15 +64,6 @@ JacobiResult EagerJacobi(cluster::SimCluster& cluster, const graph::Digraph& g_s
                          const std::vector<double>& b,
                          const graph::Partitioning& partitioning,
                          const JacobiConfig& config);
-
-/// AsyncJacobi's wire record: the refreshed boundary-row sum for one vertex —
-/// the sum of the sender's x values over its edges into that vertex, which
-/// replaces the sender's previous value in the receiver's external-row sum.
-struct JacBoundaryUpdate {
-  uint32_t vertex = 0;
-  double sum = 0.0;
-  AMR_SERDE_FIELDS(vertex, sum)
-};
 
 /// Barrier-free Jacobi on the asynchronous engine (chaotic block-Jacobi:
 /// Chazan & Miranker's asynchronous relaxation, convergent here because the

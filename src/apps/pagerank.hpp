@@ -6,7 +6,9 @@
 // the infinity norm of the rank change drops below `tolerance` (the paper
 // uses 1e-5).
 //
-// Two distributed implementations are provided:
+// Three distributed implementations are provided, all the affine driver of
+// affine.hpp under PageRank's rule (d_u = outdeg(u), F(s) = (1 - chi) +
+// chi * s; see pagerank.cpp):
 //  * GeneralPageRank — the paper's baseline: each map task takes a whole
 //    partition (more competitive than single-adjacency-list maps), performs
 //    one contribution sweep, and a global reduce accumulates; one MapReduce
@@ -52,14 +54,6 @@ struct PageRankResult {
   std::vector<double> ranks;
   core::RunTrace trace;
   bool converged = false;
-};
-
-/// AsyncPageRank's wire record: the refreshed contribution sum for one
-/// boundary vertex (replaces the sender's previous value at the receiver).
-struct PrBoundaryUpdate {
-  uint32_t vertex = 0;
-  double contribution = 0.0;
-  AMR_SERDE_FIELDS(vertex, contribution)
 };
 
 /// Serial power iteration with the identical update rule; the correctness

@@ -204,11 +204,9 @@ void AsyncEngine::BeginCompute(uint32_t p, uint32_t epoch,
   w.force_iteration = false;
   w.compute_started_at = cluster_.now();
   w.keepalive = keepalive_only;
-  // Batches applied since the previous iteration are merged "now": their
-  // per-record cost lands in this iteration's virtual time.
-  const uint64_t merge_ops = static_cast<uint64_t>(
-      std::llround(config_.merge_ops_per_record *
-                   static_cast<double>(w.unmerged_records)));
+  // Batches applied since the previous iteration are merged "now": one op
+  // per record lands in this iteration's virtual time.
+  const uint64_t merge_ops = w.unmerged_records;
   w.unmerged_records = 0;
 
   // The real work runs exactly once, now; its virtual duration is charged

@@ -9,8 +9,10 @@
 //   2. runs the application's compute callback — typically a local solve to
 //      convergence, the paper's lmap/lreduce loop — charged in virtual time
 //      from the same cost model as wave tasks (ops rate, jitter, stragglers),
-//      plus the merge cost of every update batch delivered since its previous
-//      iteration (merge_ops_per_record — applying peers' state is not free),
+//      plus one op per update record delivered since its previous iteration
+//      (applying peers' state is not free; the wave engines pay the
+//      equivalent inside reduce, and records delivered to a worker that
+//      never iterates again are not charged),
 //   3. pushes its update batches directly to the peer partitions that need
 //      them, as real byte-counted flows through net::Network — no shuffle,
 //      no DFS round trip, no job-submit overhead.
@@ -224,11 +226,6 @@ struct AsyncConfig {
   double convergence_threshold = 1e-5;
   /// Hard per-worker iteration cap; a capped run terminates converged=false.
   uint32_t max_iterations_per_worker = 10'000;
-  /// Virtual ops charged per delivered update record, folded into the
-  /// receiver's *next* iteration's compute time — applying a peer's batch is
-  /// not free (the wave engines pay the equivalent inside reduce). Records
-  /// delivered to a worker that never iterates again are not charged.
-  double merge_ops_per_record = 1.0;
   /// Transport, termination, checkpoint and fault knobs (see EngineTuning).
   EngineTuning tuning;
   std::string name = "async";

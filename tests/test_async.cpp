@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string_view>
 
+#include "apps/affine.hpp"
 #include "apps/components.hpp"
 #include "apps/jacobi.hpp"
 #include "apps/kmeans.hpp"
@@ -247,19 +249,19 @@ TEST(StateStoreDeathTest, PutOutsideTheDomainDies) {
 TEST(UpdateBatch, AppUpdateTypesRoundTrip) {
   {
     async::UpdateBatch batch;
-    async::AppendUpdate(batch, apps::PrBoundaryUpdate{7, 0.125});
-    async::AppendUpdate(batch, apps::PrBoundaryUpdate{1u << 30, -3.5});
+    async::AppendUpdate(batch, apps::BoundarySumUpdate{7, 0.125});
+    async::AppendUpdate(batch, apps::BoundarySumUpdate{1u << 30, -3.5});
     EXPECT_EQ(batch.records, 2u);
     // Wire bytes are the real encoded size, not an estimate.
     EXPECT_EQ(batch.payload.size(),
-              serde::EncodedSize(apps::PrBoundaryUpdate{7, 0.125}) +
-                  serde::EncodedSize(apps::PrBoundaryUpdate{1u << 30, -3.5}));
-    const auto out = async::DecodeBatch<apps::PrBoundaryUpdate>(batch);
+              serde::EncodedSize(apps::BoundarySumUpdate{7, 0.125}) +
+                  serde::EncodedSize(apps::BoundarySumUpdate{1u << 30, -3.5}));
+    const auto out = async::DecodeBatch<apps::BoundarySumUpdate>(batch);
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].vertex, 7u);
-    EXPECT_EQ(out[0].contribution, 0.125);
+    EXPECT_EQ(out[0].sum, 0.125);
     EXPECT_EQ(out[1].vertex, 1u << 30);
-    EXPECT_EQ(out[1].contribution, -3.5);
+    EXPECT_EQ(out[1].sum, -3.5);
   }
   {
     async::UpdateBatch batch;
@@ -276,14 +278,6 @@ TEST(UpdateBatch, AppUpdateTypesRoundTrip) {
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].vertex, 99u);
     EXPECT_EQ(out[0].label, 4u);
-  }
-  {
-    async::UpdateBatch batch;
-    async::AppendUpdate(batch, apps::JacBoundaryUpdate{12, -0.75});
-    const auto out = async::DecodeBatch<apps::JacBoundaryUpdate>(batch);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].vertex, 12u);
-    EXPECT_EQ(out[0].sum, -0.75);
   }
   {
     // The heterogeneous case the generalization exists for: a variable-length
@@ -599,37 +593,47 @@ struct PingUpdate {
 TEST(AsyncEngine, MergeCostIsChargedIntoReceiverVirtualTime) {
   // Two lockstep workers (staleness 0, so every delivered record is consumed
   // before the receiver's next iteration) ping one record to each other every
-  // iteration until capped. The only difference between the runs is
-  // merge_ops_per_record, so any virtual-time gap is the merge cost folded
-  // into the receivers' iterations.
-  auto run = [&](double merge_ops_per_record) {
-    cluster::SimCluster sim(QuietSpec());
-    async::AsyncConfig config;
-    config.staleness_bound = 0;
-    config.merge_ops_per_record = merge_ops_per_record;
-    config.max_iterations_per_worker = 5;
-    config.name = "merge";
-    async::AsyncEngine engine(sim, 2, config);
-    engine.set_compute([](uint32_t p, async::AsyncContext& ctx) {
-      ctx.AddOps(1000);
-      ctx.set_residual(1.0);  // never converges; the cap terminates the run
-      ctx.Emit(1 - p, PingUpdate{ctx.iteration()});
-    });
-    engine.set_apply([](uint32_t, uint32_t, uint32_t, uint32_t,
-                        const async::UpdateBatch& batch) {
-      EXPECT_GT(async::DecodeBatch<PingUpdate>(batch).size(), 0u);
-    });
-    return engine.Run();
-  };
-  const auto cheap = run(0.0);
-  // 1e8 ops/record = 5 virtual seconds per merged record — far beyond the
-  // 0.25s token-circuit cadence that quantizes the termination time.
-  const auto costly = run(100'000'000.0);
-  EXPECT_EQ(cheap.total_merge_ops, 0u);
-  EXPECT_GT(costly.total_merge_ops, 0u);
-  EXPECT_EQ(cheap.total_iterations, costly.total_iterations);
-  EXPECT_GT(costly.total_ops, cheap.total_ops);
-  EXPECT_GT(costly.seconds(), cheap.seconds());
+  // iteration until capped. An iteration is charged its compute ops plus one
+  // merge op per record applied since the worker's previous iteration, and
+  // its virtual duration is those ops at the cluster's per-op rate.
+  constexpr uint64_t kComputeOps = 1000;
+  const cluster::ClusterSpec spec = QuietSpec();
+  cluster::SimCluster sim(spec);
+  obs::TraceSink trace;
+  async::AsyncConfig config;
+  config.staleness_bound = 0;
+  config.max_iterations_per_worker = 5;
+  config.tuning.obs.trace = &trace;
+  config.name = "merge";
+  async::AsyncEngine engine(sim, 2, config);
+  uint64_t unmerged[2] = {0, 0};  // records applied since p's last iteration
+  uint64_t merged = 0;
+  engine.set_compute([&](uint32_t p, async::AsyncContext& ctx) {
+    merged += unmerged[p];
+    unmerged[p] = 0;
+    ctx.AddOps(kComputeOps);
+    ctx.set_residual(1.0);  // never converges; the cap terminates the run
+    ctx.Emit(1 - p, PingUpdate{ctx.iteration()});
+  });
+  engine.set_apply([&](uint32_t p, uint32_t, uint32_t, uint32_t,
+                       const async::UpdateBatch& batch) {
+    unmerged[p] += async::DecodeBatch<PingUpdate>(batch).size();
+  });
+  const auto result = engine.Run();
+  EXPECT_EQ(result.total_iterations, 10u);
+  EXPECT_GT(merged, 0u);
+  // Records delivered after the receiver's last iteration are never merged.
+  EXPECT_LE(merged, result.update_records);
+  EXPECT_EQ(result.total_merge_ops, merged);
+  EXPECT_EQ(result.total_ops,
+            kComputeOps * result.total_iterations + result.total_merge_ops);
+  double compute_seconds = 0.0;
+  for (const obs::TraceSink::Event& e : trace.events()) {
+    if (std::string_view(e.name) == "compute") compute_seconds += e.dur_s;
+  }
+  EXPECT_NEAR(compute_seconds,
+              static_cast<double>(result.total_ops) * spec.per_op_seconds,
+              1e-9 * compute_seconds);
 }
 
 // --- async PageRank ----------------------------------------------------------
