@@ -2,10 +2,13 @@
 // classes the paper claims partial synchronization extends to ("Shortest Path
 // represents a class of applications over sparse graphs that includes
 // minimum spanning trees, transitive closure, and connected components",
-// Section VI). Implemented on the SSSP engine: zero-weight edges over the
-// symmetrized graph with initial label = vertex id; the min-reduction
-// propagates each component's smallest id to all members. The Eager variant
-// collapses whole within-partition components per global iteration.
+// Section VI). Every engine runs it as SSSP's min-propagation, over the
+// symmetrized graph with initial label = vertex id: the General and Eager
+// variants through the SSSP wave drivers on zero-weight edges, the Async
+// variant through the shared min-propagation driver (monotone.hpp) on native
+// uint32 labels. The min-reduction propagates each component's smallest id to
+// all members; the Eager variant collapses whole within-partition components
+// per global iteration.
 #pragma once
 
 #include <cstdint>
@@ -32,16 +35,6 @@ struct ComponentsResult {
   uint32_t num_components = 0;
 };
 
-/// AsyncComponents' wire record: an improved (smaller) component label for
-/// one cross-partition vertex, min-combined at the receiver. Labels travel
-/// as native uint32 — half the payload of the SSSP double encoding the wave
-/// variants ride on.
-struct CcLabelUpdate {
-  uint32_t vertex = 0;
-  uint32_t label = 0;
-  AMR_SERDE_FIELDS(vertex, label)
-};
-
 /// Union-find reference over the same (symmetrized) edge set.
 std::vector<graph::VertexId> SerialComponents(const graph::Digraph& g);
 
@@ -60,10 +53,11 @@ ComponentsResult EagerComponents(cluster::SimCluster& cluster,
                                  const ComponentsConfig& config);
 
 /// Barrier-free components on the asynchronous engine: chaotic min-label
-/// propagation directly on uint32 labels (no SSSP detour). Each worker
-/// floods labels through its partition's symmetrized sub-graph to a fixed
-/// point, then pushes only *improved* labels over cut edges; min-combine is
-/// monotone, so any staleness is safe and the final labels are exact.
+/// propagation on uint32 labels, which travel as varints where SSSP's
+/// distances take 8 bytes. Each worker floods labels through its partition's
+/// symmetrized sub-graph to a fixed point, then pushes only *improved* labels
+/// over cut edges; min-combine is monotone, so any staleness is safe and the
+/// final labels are exact.
 ComponentsResult AsyncComponents(cluster::SimCluster& cluster,
                                  const graph::Digraph& g,
                                  const graph::Partitioning& partitioning,

@@ -6,6 +6,7 @@
 #include <queue>
 
 #include "apps/app_common.hpp"
+#include "apps/monotone.hpp"
 #include "core/partial_sync_job.hpp"
 #include "mr/job.hpp"
 
@@ -15,21 +16,34 @@ namespace {
 
 constexpr double kEps = 1e-12;
 
-double EdgeWeight(std::span<const double> weights, size_t i) {
-  return weights.empty() ? 1.0 : weights[i];
-}
-
-/// Distances before the first round: 0 at the source and +inf elsewhere, or
-/// the caller's initial_distances.
-std::vector<double> InitialDistances(const SsspConfig& config, uint32_t n) {
-  if (!config.initial_distances.empty()) {
-    AMR_CHECK_EQ(config.initial_distances.size(), n);
-    return config.initial_distances;
-  }
+/// Distances before the first round: 0 at the source and +inf elsewhere.
+std::vector<double> SourceDistances(graph::VertexId source, uint32_t n) {
+  AMR_CHECK(source < n);
   std::vector<double> dist(n, kInfDistance);
-  dist[config.source] = 0.0;
+  dist[source] = 0.0;
   return dist;
 }
+
+/// Shortest paths as a min-propagation rule (see monotone.hpp).
+struct SsspRule {
+  using Value = double;
+  static constexpr const char* kName = "sssp";
+  static constexpr double kNeverSent = kInfDistance;
+
+  static bool Reached(double d) { return d != kInfDistance; }
+  static double Relax(double d, double w) { return d + w; }
+  static bool Improves(double cand, double cur) { return cand < cur - kEps; }
+  /// The send filter withholds a candidate within kEps of the last one sent,
+  /// and the apply filter one within kEps of the value held, so on a
+  /// converged run a cut-edge target holds at most 2 kEps above its
+  /// candidate (an internal target at most kEps: its sweep found no
+  /// improvement). Each of those comparisons, and the check's own sum, rounds
+  /// once, by at most half an ulp of values within 2 kEps of relaxed; two
+  /// DBL_EPSILON of relaxed cover all three.
+  static double Slack(double relaxed) {
+    return 2 * kEps + 2 * std::numeric_limits<double>::epsilon() * relaxed;
+  }
+};
 
 /// The map-side relaxation sweep (General's mapper, Eager's gemit): each
 /// reached member u min-combines d(u) + w(u, t) for every out-edge and its
@@ -109,13 +123,21 @@ std::vector<double> SerialDijkstra(const graph::Digraph& g, graph::VertexId sour
 SsspResult GeneralSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
                        const graph::Partitioning& partitioning,
                        const SsspConfig& config) {
+  return monotone::GeneralSssp(cluster, g, partitioning, config,
+                               SourceDistances(config.source, g.num_vertices()));
+}
+
+SsspResult monotone::GeneralSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
+                                 const graph::Partitioning& partitioning,
+                                 const SsspConfig& config, std::vector<double> start) {
   const uint32_t n = g.num_vertices();
+  AMR_CHECK_EQ(start.size(), n);
   const auto members = partitioning.Members();
   const WaveRounds waves = WaveRounds::ForGraph(
       cluster, config.job_prefix, WaveRounds::Kind::kGeneral, g, partitioning);
 
   SsspResult result;
-  result.distances = InitialDistances(config, n);
+  result.distances = std::move(start);
   result.trace = core::RunTrace("general-sssp");
   DenseAccumulator scratch(n);
 
@@ -158,7 +180,15 @@ struct SsspVertex {
 SsspResult EagerSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
                      const graph::Partitioning& partitioning,
                      const SsspConfig& config) {
+  return monotone::EagerSssp(cluster, g, partitioning, config,
+                             SourceDistances(config.source, g.num_vertices()));
+}
+
+SsspResult monotone::EagerSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
+                               const graph::Partitioning& partitioning,
+                               const SsspConfig& config, std::vector<double> start) {
   const uint32_t n = g.num_vertices();
+  AMR_CHECK_EQ(start.size(), n);
   const uint32_t num_parts = partitioning.num_parts;
   const BoundaryPlan plan = BoundaryPlan::Build(g, partitioning);
   const WaveRounds waves = WaveRounds::ForGraph(
@@ -172,7 +202,7 @@ SsspResult EagerSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
   }
 
   SsspResult result;
-  result.distances = InitialDistances(config, n);
+  result.distances = std::move(start);
   result.trace = core::RunTrace("eager-sssp");
   DenseAccumulator scratch(n);
 
@@ -249,121 +279,14 @@ SsspResult EagerSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
   return result;
 }
 
-// ---------------------------------------------------------------------------
-// Async SSSP: chaotic relaxation on async::AsyncEngine.
-// ---------------------------------------------------------------------------
-
 SsspResult AsyncSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
                      const graph::Partitioning& partitioning,
                      const SsspConfig& config, uint32_t staleness,
                      async::AsyncResult* engine_stats) {
-  const uint32_t n = g.num_vertices();
-  const uint32_t num_parts = partitioning.num_parts;
-  const BoundaryPlan plan = BoundaryPlan::Build(g, partitioning);
-  // Best candidate already pushed per boundary target (monotone decreasing);
-  // +inf means never sent. Re-announcement refills +inf so every candidate is
-  // pushed again: distances only shrink, so dead-epoch facts a crashed worker
-  // pushed remain true, but the restarted worker itself rolled back to older
-  // (larger) distances and needs its in-peers' candidates again.
-  DeltaFilter<double> best_sent(plan, kInfDistance, kInfDistance);
-
-  SsspResult result;
-  result.distances = InitialDistances(config, n);
-  std::vector<double>& dist = result.distances;
-
-  async::AsyncConfig engine_config;
-  engine_config.staleness_bound = staleness;
-  // Residual is the count of changed distances; terminate when none anywhere.
-  engine_config.convergence_threshold = 0.5;
-  engine_config.max_iterations_per_worker = config.max_global_iterations;
-  engine_config.tuning = config.async_tuning;
-  engine_config.name = config.job_prefix + "-async";
-  async::AsyncEngine engine(cluster, num_parts, engine_config);
-
-  AttachBoundary(engine, plan, best_sent);
-
-  engine.set_compute([&](uint32_t p, async::AsyncContext& ctx) {
-    const BoundaryPlan::Part& part = plan.parts[p];
-    const auto m = static_cast<uint32_t>(part.members.size());
-    uint64_t ops = 0;
-    uint64_t changed = 0;
-
-    // Internal Bellman-Ford to a fixed point: all paths through this
-    // partition's sub-graph are settled before anything is pushed.
-    for (uint32_t sweep = 0; sweep < config.max_local_iterations; ++sweep) {
-      uint64_t sweep_changed = 0;
-      for (uint32_t i = 0; i < m; ++i) {
-        const double d = dist[part.members[i]];
-        if (d == kInfDistance) continue;
-        for (uint32_t e = part.internal_offsets[i]; e < part.internal_offsets[i + 1];
-             ++e) {
-          double& dt = dist[part.members[part.internal_targets[e]]];
-          const double w = EdgeWeight(part.internal_weights, e);
-          if (d + w < dt - kEps) {
-            dt = d + w;
-            ++sweep_changed;
-          }
-        }
-      }
-      ops += part.internal_edges() + m;
-      changed += sweep_changed;
-      if (sweep_changed == 0) break;
-    }
-    ctx.set_residual(static_cast<double>(changed));
-
-    // Push improved cross-partition candidates only, one per cut edge.
-    for (size_t b = 0; b < part.out.size(); ++b) {
-      const BoundaryPlan::OutGroup& group = part.out[b];
-      std::vector<double>& sent = best_sent.sent(p, b);
-      for (size_t j = 0; j < group.targets.size(); ++j) {
-        for (uint32_t e = group.run_begin[j]; e < group.run_begin[j + 1]; ++e) {
-          const double d = dist[part.members[group.sources[e]]];
-          if (d == kInfDistance) continue;
-          const double cand = d + EdgeWeight(group.weights, e);
-          if (cand >= sent[j] - kEps) continue;
-          sent[j] = cand;
-          ctx.Emit(group.peer, SsspCandidateUpdate{group.targets[j], cand});
-        }
-      }
-      ops += group.num_edges();
-    }
-    ctx.AddOps(ops);
-  });
-
-  // Min-combine is reorder- and epoch-safe: a dead epoch's candidate is
-  // still a genuine path, so apply ignores the version metadata.
-  engine.set_apply([&](uint32_t /*p*/, uint32_t /*from*/, uint32_t /*from_clock*/,
-                       uint32_t /*from_epoch*/, const async::UpdateBatch& batch) {
-    async::ForEachUpdate<SsspCandidateUpdate>(
-        batch, [&](const SsspCandidateUpdate& u) {
-          if (u.distance < dist[u.vertex] - kEps) dist[u.vertex] = u.distance;
-        });
-  });
-
-  // Worker state is this partition's slice of the distance vector (apply
-  // only ever writes boundary targets inside the receiving partition).
-  engine.set_snapshot([&](uint32_t p, serde::Writer& w) {
-    const auto& members = plan.parts[p].members;
-    std::vector<double> slice;
-    slice.reserve(members.size());
-    for (graph::VertexId v : members) slice.push_back(dist[v]);
-    serde::Serde<std::vector<double>>::Write(w, slice);
-  });
-  engine.set_restore([&](uint32_t p, serde::Reader& r) {
-    const auto& members = plan.parts[p].members;
-    std::vector<double> slice;
-    AMR_CHECK(serde::Serde<std::vector<double>>::Read(r, slice).ok());
-    AMR_CHECK_EQ(slice.size(), members.size());
-    for (size_t i = 0; i < slice.size(); ++i) dist[members[i]] = slice[i];
-    best_sent.ResendAll(p);
-  });
-
-  async::AsyncResult engine_result = engine.Run();
-  if (engine_stats != nullptr) *engine_stats = engine_result;
-
-  result.converged = engine_result.converged;
-  result.trace = AsyncRunTrace("async-sssp", engine_result);
-  return result;
+  auto run = monotone::Async<SsspRule>(cluster, g, partitioning, config,
+                                       SourceDistances(config.source, g.num_vertices()),
+                                       staleness, engine_stats);
+  return {std::move(run.x), std::move(run.trace), run.converged};
 }
 
 }  // namespace asyncmr::apps

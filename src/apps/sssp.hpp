@@ -7,10 +7,11 @@
 // the sub-graph considered, exactly the paper's description of asynchronous
 // Dijkstra) before the global synchronization accounts for cross-partition
 // edges. The Async implementation removes the global synchronization
-// entirely: chaotic relaxation on async::AsyncEngine, workers pushing
-// improved boundary candidates straight to the neighboring partitions (the
+// entirely: chaotic relaxation on async::AsyncEngine through the shared
+// min-propagation driver (monotone.hpp), workers pushing each boundary
+// vertex's best candidate straight to the neighboring partition (the
 // min-combine is monotone, so any staleness is safe). All converge to
-// Dijkstra's distances.
+// Dijkstra's distances. Connected components runs on the same drivers.
 #pragma once
 
 #include <cstdint>
@@ -32,25 +33,12 @@ struct SsspConfig {
   /// engine — see async::EngineTuning.
   async::EngineTuning async_tuning;
   std::string job_prefix = "sssp";
-  /// Optional custom initialization (size n). Overrides `source` when
-  /// non-empty. Connected Components reuses the SSSP engine this way:
-  /// zero-weight edges + initial_distances[v] = v computes min-label
-  /// propagation (the paper's Section V.E application class).
-  std::vector<double> initial_distances;
 };
 
 struct SsspResult {
   std::vector<double> distances;  // kInfDistance when unreachable
   core::RunTrace trace;
   bool converged = false;
-};
-
-/// AsyncSssp's wire record: an improved distance candidate for one
-/// cross-partition vertex (min-combined at the receiver).
-struct SsspCandidateUpdate {
-  uint32_t vertex = 0;
-  double distance = 0.0;
-  AMR_SERDE_FIELDS(vertex, distance)
 };
 
 /// Dijkstra with a binary heap; the correctness oracle.
@@ -65,8 +53,9 @@ SsspResult EagerSssp(cluster::SimCluster& cluster, const graph::Digraph& g,
                      const SsspConfig& config);
 
 /// Barrier-free SSSP on the asynchronous engine: each worker runs internal
-/// Bellman-Ford to a fixed point, then pushes only *improved* cross-partition
-/// candidates (the natural delta filter — a settled frontier goes quiet).
+/// Bellman-Ford to a fixed point, then pushes, per boundary vertex, the best
+/// candidate over its cut edges when it improves on the last one sent (the
+/// natural delta filter — a settled frontier goes quiet).
 /// The worker residual is its count of changed distances, so the run
 /// terminates once no distance changes anywhere with nothing in flight.
 SsspResult AsyncSssp(cluster::SimCluster& cluster, const graph::Digraph& g,

@@ -12,6 +12,7 @@
 #include "apps/components.hpp"
 #include "apps/jacobi.hpp"
 #include "apps/kmeans.hpp"
+#include "apps/monotone.hpp"
 #include "apps/pagerank.hpp"
 #include "apps/sssp.hpp"
 #include "async/checkpoint.hpp"
@@ -264,20 +265,33 @@ TEST(UpdateBatch, AppUpdateTypesRoundTrip) {
     EXPECT_EQ(out[1].sum, -3.5);
   }
   {
+    // The min-propagation records pin the wire format: a varint vertex id,
+    // then a fixed 8-byte distance (SSSP) or a varint label (Components).
+    // Ids below 2^7 take one byte; ids in [2^21, 2^28) take four.
     async::UpdateBatch batch;
-    async::AppendUpdate(batch, apps::SsspCandidateUpdate{3, 17.25});
-    const auto out = async::DecodeBatch<apps::SsspCandidateUpdate>(batch);
-    ASSERT_EQ(out.size(), 1u);
+    async::AppendUpdate(batch, apps::MinUpdate<double>{3, 17.25});
+    EXPECT_EQ(batch.payload.size(), 9u);
+    async::AppendUpdate(batch, apps::MinUpdate<double>{1u << 21, -0.5});
+    EXPECT_EQ(batch.payload.size(), 9u + 12u);
+    const auto out = async::DecodeBatch<apps::MinUpdate<double>>(batch);
+    ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].vertex, 3u);
-    EXPECT_EQ(out[0].distance, 17.25);
+    EXPECT_EQ(out[0].value, 17.25);
+    EXPECT_EQ(out[1].vertex, 1u << 21);
+    EXPECT_EQ(out[1].value, -0.5);
   }
   {
     async::UpdateBatch batch;
-    async::AppendUpdate(batch, apps::CcLabelUpdate{99, 4});
-    const auto out = async::DecodeBatch<apps::CcLabelUpdate>(batch);
-    ASSERT_EQ(out.size(), 1u);
+    async::AppendUpdate(batch, apps::MinUpdate<uint32_t>{99, 4});
+    EXPECT_EQ(batch.payload.size(), 2u);
+    async::AppendUpdate(batch, apps::MinUpdate<uint32_t>{1u << 21, (1u << 28) - 1});
+    EXPECT_EQ(batch.payload.size(), 2u + 8u);
+    const auto out = async::DecodeBatch<apps::MinUpdate<uint32_t>>(batch);
+    ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].vertex, 99u);
-    EXPECT_EQ(out[0].label, 4u);
+    EXPECT_EQ(out[0].value, 4u);
+    EXPECT_EQ(out[1].vertex, 1u << 21);
+    EXPECT_EQ(out[1].value, (1u << 28) - 1);
   }
   {
     // The heterogeneous case the generalization exists for: a variable-length
@@ -299,13 +313,13 @@ TEST(UpdateBatch, AppUpdateTypesRoundTrip) {
 
 TEST(UpdateBatch, ClearKeepsNothingVisible) {
   async::UpdateBatch batch;
-  async::AppendUpdate(batch, apps::CcLabelUpdate{1, 2});
+  async::AppendUpdate(batch, apps::MinUpdate<uint32_t>{1, 2});
   EXPECT_FALSE(batch.empty());
   batch.clear();
   EXPECT_TRUE(batch.empty());
   EXPECT_EQ(batch.records, 0u);
   EXPECT_EQ(batch.payload.size(), 0u);
-  EXPECT_TRUE(async::DecodeBatch<apps::CcLabelUpdate>(batch).empty());
+  EXPECT_TRUE(async::DecodeBatch<apps::MinUpdate<uint32_t>>(batch).empty());
 }
 
 // --- termination-proof and residual accounting -------------------------------

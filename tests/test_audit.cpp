@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/app_common.hpp"
+#include "apps/monotone.hpp"
 #include "async/checkpoint.hpp"
 #include "async/progress.hpp"
 #include "async/state_store.hpp"
@@ -293,6 +294,28 @@ TEST(AuditWithheldSumDeathTest, DriftPastHalfToleranceTrips) {
                                                /*roundings=*/1000,
                                                /*magnitude=*/10.0),
                "drifted past send_eps");
+}
+
+// --- min-propagation fixed point -------------------------------------------
+
+TEST(AuditMinEdge, SettledEdgesDoNotTrip) {
+  // A label at or below what its in-edge offers; a distance within the
+  // 2e-12 that SSSP's send and apply filters may withhold together.
+  asyncmr::apps::AuditMinEdge(/*held=*/3.0, /*relaxed=*/3.0, /*slack=*/0.0);
+  asyncmr::apps::AuditMinEdge(2.0, 3.0, 0.0);
+  asyncmr::apps::AuditMinEdge(5.0 + 1e-12, 5.0, 2e-12);
+}
+
+TEST(AuditMinEdgeDeathTest, ImprovableEdgeTrips) {
+  SKIP_WITHOUT_AUDIT();
+  // Label 4 held where an edge offers 3: the run stopped one relaxation
+  // short of the fixed point.
+  EXPECT_DEATH(asyncmr::apps::AuditMinEdge(/*held=*/4.0, /*relaxed=*/3.0,
+                                           /*slack=*/0.0),
+               "stopped short of its fixed point");
+  // A distance 1e-9 above its candidate, far past the filters' 2e-12.
+  EXPECT_DEATH(asyncmr::apps::AuditMinEdge(5.0 + 1e-9, 5.0, 2e-12),
+               "stopped short of its fixed point");
 }
 
 // --- checkpoint image round-trip ---------------------------------------------

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "apps/app_common.hpp"
+#include "apps/monotone.hpp"
 #include "apps/sssp.hpp"
 #include "graph/generator.hpp"
 #include "graph/partitioner.hpp"
@@ -102,16 +103,16 @@ TEST(EagerSssp, GridOracle) {
   EXPECT_DOUBLE_EQ(result.distances[19], 19.0);  // top-right corner of row 0
 }
 
-TEST(EagerSssp, CustomInitialDistances) {
-  // Multi-source via initial distances: two zero-cost sources.
+TEST(EagerSssp, StartVectorGivesMultipleSources) {
+  // The internal entry point Components floods labels through takes its
+  // start vector as an argument: two zero-cost sources here.
   const graph::Digraph g = graph::Grid2d(10, 1);  // a line of 10
   graph::Partitioning part = graph::RangePartition(g, 2);
-  SsspConfig config;
-  config.initial_distances.assign(10, kInfDistance);
-  config.initial_distances[0] = 0.0;
-  config.initial_distances[9] = 0.0;
+  std::vector<double> start(10, kInfDistance);
+  start[0] = 0.0;
+  start[9] = 0.0;
   cluster::SimCluster sim(QuietSpec());
-  const auto result = EagerSssp(sim, g, part, config);
+  const auto result = monotone::EagerSssp(sim, g, part, SsspConfig{}, start);
   EXPECT_DOUBLE_EQ(result.distances[5], 4.0);  // nearer to 9
   EXPECT_DOUBLE_EQ(result.distances[4], 4.0);  // nearer to 0
 }
@@ -167,6 +168,26 @@ TEST(Sssp, DeterministicAcrossRuns) {
   const auto b = run();
   EXPECT_DOUBLE_EQ(a.trace.total_seconds(), b.trace.total_seconds());
   EXPECT_EQ(a.distances, b.distances);
+}
+
+TEST(AsyncSssp, OneCandidatePerTargetPerPush) {
+  // Partition 0 = {0, 1, 2} reaches 1 and 2 at distance 1; two cut edges lead
+  // into partition 1 = {3}, 1 -> 3 (weight 10) before 2 -> 3 (weight 1). The
+  // push folds the run of cut edges into target 3 to its best candidate, so
+  // it sends 2 once instead of 11 and then 2.
+  const graph::Digraph g = graph::Digraph::FromEdges(
+      4, {{0, 1, 1.0}, {0, 2, 1.0}, {1, 3, 10.0}, {2, 3, 1.0}}, true);
+  graph::Partitioning part;
+  part.num_parts = 2;
+  part.part_of = {0, 0, 0, 1};
+  SsspConfig config;
+  cluster::SimCluster sim(QuietSpec());
+  async::AsyncResult stats;
+  const auto result =
+      AsyncSssp(sim, g, part, config, async::kUnboundedStaleness, &stats);
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(stats.update_records, 1u);
+  EXPECT_EQ(result.distances[3], 2.0);
 }
 
 }  // namespace
